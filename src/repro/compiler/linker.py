@@ -78,6 +78,9 @@ class LinkedImage:
         """
         state = self.__dict__.copy()
         state["builtin_handlers"] = None
+        # Compiled superop code is host-side and rebuilt on first use;
+        # code objects never travel with the image.
+        state.pop("_superop_code", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -119,6 +122,10 @@ class LinkedImage:
         # The code zone changed wholesale: the predecoded dispatch
         # table (repro.core.predecode) is stale.
         machine.invalidate_predecode()
+        # Every machine over this image shares one memo of compiled
+        # superop code (repro.core.superops), created on first install;
+        # it lives and dies with the image and is never pickled.
+        machine._superop_code = vars(self).setdefault("_superop_code", {})
 
 
 class Linker:

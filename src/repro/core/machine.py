@@ -176,6 +176,9 @@ class Machine:
         #: predecoded block table (repro.core.predecode), built lazily
         #: per code image and dropped whenever the code zone changes.
         self._predecoded: Optional[PredecodedCode] = None
+        #: compiled superop code shared with every machine over the
+        #: same image (set by LinkedImage.install; None: no sharing).
+        self._superop_code: Optional[dict] = None
         #: code-zone generation: bumped by every code writer (including
         #: same-length in-place rewrites via patch_code, which a code-
         #: length staleness check alone would miss).
@@ -271,17 +274,19 @@ class Machine:
 
         The fused memory closures (installed as instance attributes
         ``_read``/``_write``/``deref`` for the duration of one run),
-        the dispatch table of bound methods and lambdas, and the
-        predecoded block table are all excluded; every one is rebuilt
-        deterministically — the dispatch table eagerly on unpickle,
-        the closures on the next run, the predecode table lazily by
-        :meth:`_ensure_predecoded`.
+        the dispatch table of bound methods and lambdas, the
+        predecoded block table and the image's superop code memo are
+        all excluded; every one is rebuilt deterministically — the
+        dispatch table eagerly on unpickle, the closures on the next
+        run, the predecode table (compiling its superops afresh) lazily
+        by :meth:`_ensure_predecoded`.
         """
         state = self.__dict__.copy()
         for derived in ("_read", "_write", "deref"):
             state.pop(derived, None)
         state["_dispatch"] = None
         state["_predecoded"] = None
+        state["_superop_code"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -1180,7 +1185,8 @@ class Machine:
         table = self._predecoded
         if table is None or not table.valid_for(self.code,
                                                 self._code_generation):
-            fuser = SuperopFuser(self) if self.features.superops else None
+            fuser = SuperopFuser(self, code_memo=self._superop_code) \
+                if self.features.superops else None
             table = predecode(self.code, self._dispatch,
                               self.costs.static_cost_table(),
                               fuser=fuser,

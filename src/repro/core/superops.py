@@ -48,6 +48,7 @@ fused.  ``Features.superops=False`` ablates the layer independently of
 from __future__ import annotations
 
 import builtins
+from types import CodeType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.opcodes import ArithOp, Op, TestOp
@@ -211,9 +212,23 @@ class SuperopFuser:
     :meth:`Machine.reset_for_reuse`); per-run state (``stats``, the
     fused memory closures, the recent-PC ring index) is fetched inside
     each closure call.
+
+    ``code_memo`` maps ``(address, generated source)`` to the compiled
+    code object.  :meth:`LinkedImage.install` hands every machine it
+    loads the same memo, so only the first machine over an image pays
+    ``compile()``; later ones generate the source, find its code and
+    ``exec`` it, which binds *their* objects as the closure defaults.
+    The key is the exact source, so a hit never runs different code.
     """
 
-    def __init__(self, machine, table: Optional[FusionTable] = None) -> None:
+    #: Total superop ``compile()`` calls in this process; tests snapshot
+    #: it to prove a machine over an already-fused image compiles
+    #: nothing (mirrors ``PredecodedCode.translations_performed``).
+    compiles_performed = 0
+
+    def __init__(self, machine, table: Optional[FusionTable] = None,
+                 code_memo: Optional[Dict[Tuple[int, str], CodeType]] = None
+                 ) -> None:
         # Machine is imported lazily: machine.py imports this module at
         # top level for _ensure_predecoded.
         from repro.core.machine import (CP_ALT, ENV_CE, ENV_CP, ENV_Y0,
@@ -221,6 +236,7 @@ class SuperopFuser:
         from repro.core.registers import SHADOW_ALT, SHADOW_H, SHADOW_TR
         self.machine = machine
         self.table = default_table() if table is None else table
+        self.code_memo = {} if code_memo is None else code_memo
         self.fused_built = 0
         self._env_y0 = ENV_Y0
         self._env_ce = ENV_CE
@@ -359,7 +375,12 @@ class SuperopFuser:
             # over the per-step loop.
             return None
         source, env = self._generate(address, steps)
-        code = compile(source, f"<superop:{address}>", "exec")
+        key = (address, source)
+        code = self.code_memo.get(key)
+        if code is None:
+            code = compile(source, f"<superop:{address}>", "exec")
+            self.code_memo[key] = code
+            SuperopFuser.compiles_performed += 1
         namespace: Dict[str, object] = {"__builtins__": builtins}
         namespace.update(env)
         exec(code, namespace)

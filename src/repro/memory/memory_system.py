@@ -29,7 +29,7 @@ from repro.core.word import Word, ZERO_WORD
 from repro.memory.cache import CodeCache, DataCache
 from repro.memory.layout import DEFAULT_LAYOUT, Region
 from repro.memory.main_memory import MainMemory
-from repro.memory.mmu import MMU
+from repro.memory.mmu import MMU, PageTableEntry
 from repro.memory.store import DataStore
 from repro.memory.zones import ZoneChecker
 
@@ -382,11 +382,11 @@ class MemorySystem:
         code_cache = self.code_cache
         main = self.main_memory
         mmu = self.mmu
-        entries = {}
-        for virtual_page, code_space in mmu._touched:
-            entry = mmu._table(code_space)[virtual_page]
-            entries[(virtual_page, code_space)] = (entry.status,
-                                                   entry.physical_page)
+        entries = {(virtual_page, code_space): (entry.status,
+                                                entry.physical_page)
+                   for code_space in (False, True)
+                   for virtual_page, entry
+                   in mmu._table(code_space).items()}
         return {
             "data_tags": list(data_cache.tags),
             "data_dirty": list(data_cache.dirty),
@@ -432,17 +432,12 @@ class MemorySystem:
         self.main_memory.words_written = main["words_written"]
         mmu = self.mmu
         saved = state["mmu"]
-        for virtual_page, code_space in mmu._touched:
-            entry = mmu._table(code_space)[virtual_page]
-            entry.status = 0
-            entry.physical_page = 0
-        mmu._touched.clear()
+        mmu.data_table.clear()
+        mmu.code_table.clear()
         for (virtual_page, code_space), (status, physical) \
                 in saved["entries"].items():
-            entry = mmu._table(code_space)[virtual_page]
-            entry.status = status
-            entry.physical_page = physical
-            mmu._touched.add((virtual_page, code_space))
+            mmu._table(code_space)[virtual_page] = PageTableEntry(status,
+                                                                  physical)
         mmu.next_free_page = saved["next_free_page"]
         mmu.faults = saved["faults"]
         mmu.translations = saved["translations"]

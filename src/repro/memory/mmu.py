@@ -14,12 +14,19 @@ and the round trip is modelled with a configurable cycle charge.
 
 The model allocates physical pages on demand from the 32 MB board
 (2048 physical pages of 16K words each with 1 Mbit parts).
+
+The page-table RAM is modelled *sparsely*: each address space is a dict
+holding only the entries a run has mapped, and an absent entry reads as
+the power-on zero entry (status 0, physical page 0).  Translation,
+faults and every counter behave exactly as with all 32K entries
+present, but a new MMU allocates nothing per entry and a reset only
+empties two dicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.tags import PAGE_SIZE_WORDS, page_number, page_offset
 from repro.errors import PageFault, ProtectionFault
@@ -59,10 +66,10 @@ class MMU:
     def __init__(self, physical_pages: int = 2048,
                  page_fault_cycles: int = 2000,
                  demand_paging: bool = True):
-        self.data_table: List[PageTableEntry] = [
-            PageTableEntry() for _ in range(VIRTUAL_PAGES)]
-        self.code_table: List[PageTableEntry] = [
-            PageTableEntry() for _ in range(VIRTUAL_PAGES)]
+        #: virtual page -> entry, one dict per address space; a page
+        #: with no entry reads as the power-on zero entry.
+        self.data_table: Dict[int, PageTableEntry] = {}
+        self.code_table: Dict[int, PageTableEntry] = {}
         self.physical_pages = physical_pages
         self.page_fault_cycles = page_fault_cycles
         self.demand_paging = demand_paging
@@ -70,22 +77,24 @@ class MMU:
         self.next_free_page = 0
         self.faults = 0
         self.translations = 0
-        # Every (virtual_page, code_space) pair ever installed, so
-        # reset() can clear exactly the entries that were touched
-        # instead of rebuilding 32K PageTableEntry objects — the
-        # rebuild would cost milliseconds per reuse, longer than a
-        # short query runs.
-        self._touched: set = set()
 
     # -- host/runtime interface ------------------------------------------------
 
-    def _table(self, code_space: bool) -> List[PageTableEntry]:
+    def _table(self, code_space: bool) -> Dict[int, PageTableEntry]:
         return self.code_table if code_space else self.data_table
+
+    @staticmethod
+    def _check_page(virtual_page: int) -> None:
+        """Reject a page number the 16K-entry RAM has no slot for."""
+        if not 0 <= virtual_page < VIRTUAL_PAGES:
+            raise ValueError(f"virtual page {virtual_page} outside "
+                             f"0..{VIRTUAL_PAGES - 1}")
 
     def map_page(self, virtual_page: int, code_space: bool = False,
                  writable: bool = True,
                  physical_page: Optional[int] = None) -> int:
         """Install a translation; allocates a physical page if needed."""
+        self._check_page(virtual_page)
         if physical_page is None:
             if self.next_free_page >= self.physical_pages:
                 raise PageFault("out of physical memory (32 MB board full)",
@@ -93,26 +102,22 @@ class MMU:
                                 code_space=code_space)
             physical_page = self.next_free_page
             self.next_free_page += 1
-        entry = self._table(code_space)[virtual_page]
-        entry.physical_page = physical_page
-        entry.status = VALID | (WRITABLE if writable else 0) \
+        status = VALID | (WRITABLE if writable else 0) \
             | (CODE_SPACE if code_space else 0)
-        self._touched.add((virtual_page, code_space))
+        self._table(code_space)[virtual_page] = PageTableEntry(
+            status, physical_page)
         return physical_page
 
     def reset(self) -> None:
         """Return the MMU to its just-constructed state (engine reuse).
 
-        Clears only the page-table entries :meth:`map_page` ever
-        touched, zeroes the fault/translation counters, releases every
-        physical page and restores the constructor's ``demand_paging``
-        setting (the fault injector flips it while attached).
+        Empties both page tables (every entry reads as zero again),
+        zeroes the fault/translation counters, releases every physical
+        page and restores the constructor's ``demand_paging`` setting
+        (the fault injector flips it while attached).
         """
-        for virtual_page, code_space in self._touched:
-            entry = self._table(code_space)[virtual_page]
-            entry.status = 0
-            entry.physical_page = 0
-        self._touched.clear()
+        self.data_table.clear()
+        self.code_table.clear()
         self.next_free_page = 0
         self.faults = 0
         self.translations = 0
@@ -121,31 +126,36 @@ class MMU:
     def unmap_page(self, virtual_page: int, code_space: bool = False) -> None:
         """Invalidate a translation (used when re-zoning a data page into
         the code space after batch compilation, section 3.2.1, and by the
-        fault injector to plant transient page faults)."""
-        self._table(code_space)[virtual_page].status = 0
+        fault injector to plant transient page faults).  The entry keeps
+        its physical page number, with status 0, as the RAM would."""
+        self._check_page(virtual_page)
+        entry = self._table(code_space).get(virtual_page)
+        if entry is not None:
+            entry.status = 0
 
     def resident_pages(self, code_space: bool = False) -> "List[int]":
         """Virtual pages with a valid translation, ascending (used by
         the fault injector to pick an eviction victim and by paging
         diagnostics)."""
-        return [vpage for vpage, entry
-                in enumerate(self._table(code_space)) if entry.valid]
+        return sorted(vpage for vpage, entry
+                      in self._table(code_space).items() if entry.valid)
 
     def is_mapped(self, virtual_page: int, code_space: bool = False) -> bool:
         """Whether a virtual page currently has a valid translation."""
-        return self._table(code_space)[virtual_page].valid
+        self._check_page(virtual_page)
+        entry = self._table(code_space).get(virtual_page)
+        return entry is not None and entry.valid
 
     def rezone_data_page_to_code(self, virtual_page: int) -> None:
         """The section 3.2.1 hand-over: invalidate the virtual data page
         and attach its physical page to the code space."""
-        data_entry = self.data_table[virtual_page]
-        if not data_entry.valid:
+        if not self.is_mapped(virtual_page):
             raise PageFault(f"data page {virtual_page} not mapped",
                             virtual_page=virtual_page)
-        physical = data_entry.physical_page
+        data_entry = self.data_table[virtual_page]
         data_entry.status = 0
         self.map_page(virtual_page, code_space=True, writable=False,
-                      physical_page=physical)
+                      physical_page=data_entry.physical_page)
 
     # -- translation -----------------------------------------------------------
 
@@ -160,9 +170,10 @@ class MMU:
         """
         self.translations += 1
         vpage = page_number(address)
-        entry = self._table(code_space)[vpage]
+        table = self._table(code_space)
+        entry = table.get(vpage)
         fault_cycles = 0
-        if not entry.valid:
+        if entry is None or not entry.valid:
             if not self.demand_paging:
                 raise PageFault(
                     f"no translation for virtual page {vpage} "
@@ -170,7 +181,7 @@ class MMU:
                     virtual_page=vpage, code_space=code_space)
             self.faults += 1
             self.map_page(vpage, code_space=code_space, writable=True)
-            entry = self._table(code_space)[vpage]
+            entry = table[vpage]
             fault_cycles = self.page_fault_cycles
         if is_write and not (entry.status & WRITABLE):
             raise ProtectionFault(

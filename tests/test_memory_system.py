@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.tags import Type, Zone
+from repro.core.tags import PAGE_SIZE_WORDS, Type, Zone
 from repro.core.word import ZERO_WORD, make_int
 from repro.errors import ZoneTrap
 from repro.memory.layout import (
@@ -130,3 +130,40 @@ class TestMemorySystem:
         word_cycles = system.data_write(GLOBAL_BASE, make_int(1),
                                         Zone.GLOBAL)
         assert word_cycles > 500      # cold miss + host paging round trip
+
+
+class TestSparsePageTableCheckpoint:
+    def test_timing_state_round_trips_absent_and_cleared_entries(self):
+        """Absent entries (never mapped) and cleared ones (unmapped or
+        re-zoned: their status-0 entries stay) must both behave like
+        the zero entry of an eagerly built page-table RAM, through a
+        timing-state capture and a restore onto a fresh hierarchy."""
+        page = PAGE_SIZE_WORDS
+        source = MemorySystem(page_fault_cycles=2000)
+        mmu = source.mmu
+        for vpage in (1, 2, 3):
+            mmu.map_page(vpage)
+        mmu.translate(2 * page + 5, is_write=True)   # REFERENCED | DIRTY
+        mmu.unmap_page(1)
+        mmu.rezone_data_page_to_code(3)
+        assert mmu.data_table[1].status == 0
+        assert mmu.data_table[3].status == 0
+        snapshot = source.timing_state()
+
+        target = MemorySystem(page_fault_cycles=2000)
+        target.restore_timing_state(snapshot)
+        assert target.timing_state() == snapshot
+
+        probes = [
+            (1 * page + 7, False, False),    # cleared by unmap: faults
+            (2 * page, True, False),         # still valid
+            (3 * page, False, False),        # cleared by the re-zone
+            (3 * page + 1, False, True),     # re-zoned into code space
+            (5 * page, False, False),        # absent: faults
+            (5 * page, False, True),         # absent in code space
+        ]
+        for address, is_write, code_space in probes:
+            assert target.mmu.translate(address, is_write, code_space) \
+                == source.mmu.translate(address, is_write, code_space)
+        assert target.mmu.faults == source.mmu.faults == 4
+        assert target.timing_state() == source.timing_state()

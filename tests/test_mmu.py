@@ -42,10 +42,53 @@ class TestTranslation:
         assert d != c
 
     def test_page_table_has_16k_entries_per_space(self):
+        # The RAM is modelled sparsely, so the size shows in which page
+        # numbers it accepts, not in a container length.
         assert VIRTUAL_PAGES == 1 << 14
         mmu = MMU()
-        assert len(mmu.data_table) == VIRTUAL_PAGES
-        assert len(mmu.code_table) == VIRTUAL_PAGES
+        for code_space in (False, True):
+            for vpage in (0, VIRTUAL_PAGES - 1):
+                mmu.map_page(vpage, code_space=code_space)
+                assert mmu.is_mapped(vpage, code_space=code_space)
+        mapped = mmu.next_free_page
+        assert mapped == 4
+        for code_space in (False, True):
+            for vpage in (-1, VIRTUAL_PAGES):
+                with pytest.raises(ValueError):
+                    mmu.map_page(vpage, code_space=code_space)
+                assert mmu.next_free_page == mapped
+        assert mmu.resident_pages() == [0, VIRTUAL_PAGES - 1]
+        assert mmu.resident_pages(code_space=True) == [0, VIRTUAL_PAGES - 1]
+
+    def test_out_of_range_page_rejected_before_any_change(self):
+        mmu = MMU()
+        mmu.map_page(VIRTUAL_PAGES - 1)
+        before = (dict(mmu.data_table), dict(mmu.code_table),
+                  mmu.next_free_page)
+        for vpage in (-1, VIRTUAL_PAGES):
+            for call in (lambda: mmu.unmap_page(vpage),
+                         lambda: mmu.unmap_page(vpage, code_space=True),
+                         lambda: mmu.is_mapped(vpage),
+                         lambda: mmu.rezone_data_page_to_code(vpage)):
+                with pytest.raises(ValueError):
+                    call()
+        assert (mmu.data_table, mmu.code_table, mmu.next_free_page) \
+            == before
+        # -1 used to alias page 16383; it must not have touched it.
+        assert mmu.data_table[VIRTUAL_PAGES - 1].valid
+
+    def test_absent_and_cleared_entries_read_as_zero(self):
+        mmu = MMU(page_fault_cycles=2000, demand_paging=False)
+        mmu.map_page(1)
+        mmu.unmap_page(1)
+        mmu.unmap_page(2)          # never mapped: nothing to clear
+        assert mmu.data_table[1].status == 0
+        assert 2 not in mmu.data_table
+        for vpage in (1, 2):
+            assert not mmu.is_mapped(vpage)
+            with pytest.raises(PageFault):
+                mmu.translate(vpage * PAGE_SIZE_WORDS, is_write=False)
+        assert mmu.resident_pages() == []
 
 
 class TestProtection:

@@ -1,8 +1,11 @@
 """The superinstruction layer: fused-entry structure, ablation
-equivalence, generation-counter staleness and warm-reuse translation
-caching (the regressions ISSUE 8 hardens)."""
+equivalence, generation-counter staleness, warm-reuse translation
+caching and compile-once superop code per image."""
 
-from repro.api import compile_and_load
+import pickle
+
+from repro.api import compile_and_load, run_query
+from repro.bench.programs import SUITE
 from repro.core.costs import Features
 from repro.core.instruction import Instruction
 from repro.core.machine import Machine
@@ -12,6 +15,7 @@ from repro.core.superops import FusionTable, SuperopFuser
 from repro.core.symbols import SymbolTable
 from repro.core.word import make_int
 from repro.prolog.writer import term_to_text
+from repro.serve import EnginePool, ImageCache
 
 APPEND = ("append([], L, L).\n"
           "append([H|T], L, [H|R]) :- append(T, L, R).\n")
@@ -136,3 +140,77 @@ class TestWarmReuseTranslationCache:
         machine.reset_for_reuse()
         run_loaded(machine)
         assert PredecodedCode.translations_performed == baseline + 1
+
+
+class TestCompileOncePerImage:
+    """Superop code is compiled once per image: machines built later
+    over the same image re-translate (their closures bind their own
+    objects) but find every code object in the image's memo."""
+
+    PROGRAMS = ("con1", "nrev1")
+
+    @staticmethod
+    def answers(machine):
+        return [{name: term_to_text(term) for name, term in sol.items()}
+                for sol in machine.solutions]
+
+    def run_pooled(self, pool, images, name):
+        image = images[name]
+        machine = pool.machine_for(name, image)
+        stats = machine.run(image.entry,
+                            answer_names=image.query_variable_names)
+        assert machine._predecoded.fused_count > 0
+        return self.answers(machine), stats
+
+    def test_rebuilt_machine_retranslates_without_recompiling(self):
+        cache = ImageCache()
+        images = {name: cache.get(SUITE[name].source_pure,
+                                  SUITE[name].query_pure)
+                  for name in self.PROGRAMS}
+        # One pooled machine for two images: every draw evicts the
+        # other image's machine, so every draw builds a machine.
+        pool = EnginePool(max_machines=1)
+        compiles = SuperopFuser.compiles_performed
+        first = {name: self.run_pooled(pool, images, name)
+                 for name in self.PROGRAMS}
+        assert SuperopFuser.compiles_performed > compiles
+        compiles = SuperopFuser.compiles_performed
+        translations = PredecodedCode.translations_performed
+        for _ in range(2):
+            for name in self.PROGRAMS:
+                assert self.run_pooled(pool, images, name) == first[name]
+        assert PredecodedCode.translations_performed \
+            == translations + 2 * len(self.PROGRAMS)
+        assert SuperopFuser.compiles_performed == compiles
+        for name in self.PROGRAMS:
+            unfused = run_query(SUITE[name].source_pure,
+                                SUITE[name].query_pure, use_cache=False,
+                                features=Features(superops=False))
+            assert unfused.machine._predecoded.fused_count == 0
+            assert (self.answers(unfused.machine), unfused.stats) \
+                == first[name]
+
+    def test_pickles_carry_no_code_and_unpickled_image_fuses(self):
+        bench = SUITE["nrev1"]
+        image = ImageCache().get(bench.source_pure, bench.query_pure)
+        machine = Machine(symbols=image.symbols)
+        image.install(machine)
+        machine.image = image
+        stats = run_loaded(machine)
+        assert image._superop_code
+        # Code objects cannot be pickled at all, so a memo that
+        # travelled would fail these dumps outright.
+        restored_image = pickle.loads(pickle.dumps(image))
+        restored_machine = pickle.loads(pickle.dumps(machine))
+        assert "_superop_code" not in vars(restored_image)
+        assert "_superop_code" not in vars(restored_machine.image)
+        assert restored_machine._superop_code is None
+        compiles = SuperopFuser.compiles_performed
+        fresh = Machine(symbols=restored_image.symbols)
+        restored_image.install(fresh)
+        fresh.image = restored_image
+        assert run_loaded(fresh) == stats
+        assert fresh._predecoded.fused_count \
+            == machine._predecoded.fused_count
+        assert SuperopFuser.compiles_performed \
+            == compiles + len(restored_image._superop_code)
