@@ -5,7 +5,7 @@ the benchmark methodology, docs/RESILIENCE.md for the failure
 semantics (checkpoint/resume across worker death, retry with
 deterministic backoff, admission control, poison-query quarantine,
 crash-loop supervision and the seeded chaos harness), and
-docs/SESSIONS.md for the session layer: first-class logic engines,
+docs/SESSIONS.md for the session layer: streamed logic engines,
 lease-based ownership, crash migration and hibernation.
 """
 
@@ -16,9 +16,7 @@ from repro.serve.chaos import (
     ChaosPlan, ChaosPolicy, verify_chaos_invariant,
     verify_session_chaos_invariant,
 )
-from repro.serve.engine import (
-    Engine, EngineSnapshot, EngineStore, EngineStoreCorrupt,
-)
+from repro.serve.engine import EngineStore, EngineStoreCorrupt
 from repro.serve.loadgen import (
     Arrival, LoadSpec, OpenLoopGenerator, SessionLoadSpec,
     SessionSoakReport, SoakReport, run_session_soak, run_soak,
@@ -46,9 +44,7 @@ __all__ = [
     "ChaosPlan",
     "ChaosPolicy",
     "DeadlineAbandoned",
-    "Engine",
     "EnginePool",
-    "EngineSnapshot",
     "EngineStore",
     "EngineStoreCorrupt",
     "ImageCache",

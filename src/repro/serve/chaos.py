@@ -168,8 +168,8 @@ def verify_chaos_invariant(programs: Dict[str, str],
 
     Returns a report dict with ``ok`` plus the mismatch lists the CI
     smoke job prints on failure.  Extra ``service_kwargs`` go to the
-    chaos-ridden service (e.g. ``batch_max``/``use_shared_memory``, to
-    pin the invariant across IPC protocol configurations).
+    chaos-ridden service (e.g. ``batch_max``, to pin the invariant
+    across IPC protocol configurations).
     """
     from repro.serve.retry import RetryPolicy
     from repro.serve.service import QueryService

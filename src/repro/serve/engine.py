@@ -1,28 +1,23 @@
-"""First-class logic engines: streamed solutions, pause, migrate.
+"""Parking paused engines: the byte-budgeted :class:`EngineStore`.
 
 The BinProlog engine model (Tarau, arXiv 1102.1178, PAPERS.md) treats a
 running query as a first-class value: an *engine* you create, ask for
-one answer at a time, suspend, ship somewhere else, and resume.  PR 4's
-durable :class:`~repro.core.traps.MachineCheckpoint` plus the
-stop-at-solution hook in the ``'$answer'`` escape make that one small
-API on this machine:
+one answer at a time, suspend, ship somewhere else, and resume.  Here
+the engine is a value already: the ``session_payload`` of a
+:meth:`~repro.serve.service.QueryService.run_steps` step, a pickled
+:class:`~repro.core.traps.MachineCheckpoint` taken where the
+stop-at-solution hook in the ``'$answer'`` escape paused the machine.
+Passing it to the next step resumes the search, on any worker or in
+any process, bit-identically (solutions and ``RunStats``) to an
+uninterrupted all-solutions run.  :meth:`~repro.serve.service.
+EnginePool._drive` is the one driver that runs it.
 
-- :class:`Engine` — owns a warm :class:`~repro.core.machine.Machine`
-  over a cached image.  :meth:`~Engine.next_solution` drives the
-  search to the next answer and pauses the machine at an instruction
-  boundary (the resumed search is **bit-identical** — solutions and
-  ``RunStats`` — to an uninterrupted all-solutions run);
-- :class:`EngineSnapshot` — :meth:`~Engine.pause` frozen into a
-  pickle-safe value: the engine's checkpoint plus the identity needed
-  to rebuild it anywhere the same program source is available
-  (:meth:`Engine.resume` — same process, another process, another
-  host);
-- :class:`EngineStore` — a byte-budgeted parking lot for paused
-  engines.  Resident payloads are LRU-bounded; cold ones spill to
-  disk (hibernate) and rehydrate on demand, each wake verified
-  against the content hash recorded at spill time
-  (:class:`EngineStoreCorrupt` on mismatch).  A worker can schedule
-  thousands of concurrent paused engines under a bounded RSS.
+What this module adds is somewhere to keep those payloads between
+steps.  :class:`EngineStore` bounds the resident ones by bytes (LRU);
+cold ones spill to disk (hibernate) and rehydrate on demand, each wake
+verified against the content hash recorded at spill time
+(:class:`EngineStoreCorrupt` on mismatch).  A host can hold thousands
+of paused engines under a bounded RSS.
 
 :class:`~repro.serve.session.SessionService` layers leases, crash
 migration and reaping over these pieces; see docs/SESSIONS.md for the
@@ -33,18 +28,12 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import shutil
 import tempfile
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.core.machine import Machine
-from repro.core.statistics import RunStats
-from repro.core.traps import MachineCheckpoint
 from repro.errors import KCMError
-from repro.serve.cache import ImageCache, default_image_cache, image_key
 
 #: default resident-byte budget for an :class:`EngineStore` (beyond it,
 #: least-recently-used paused engines hibernate to disk).
@@ -58,213 +47,14 @@ class EngineStoreCorrupt(KCMError):
     than resume from silently wrong state."""
 
 
-@dataclass(frozen=True)
-class EngineSnapshot:
-    """A paused engine, frozen into a pickle-safe value.
-
-    Carries the full machine checkpoint plus the identity needed to
-    rebuild the engine against a compile cache: the image *key* pins
-    exactly which compiled image the checkpoint belongs to, and
-    program/query/io_mode let any process holding the same sources
-    recompile it on demand.  ``streamed`` and ``started`` restore the
-    stream position so :meth:`Engine.next_solution` carries on where
-    the paused engine left off.
-    """
-
-    key: str
-    program: str
-    query: str
-    io_mode: str
-    checkpoint: MachineCheckpoint
-    streamed: int = 0
-    started: bool = False
-
-    def to_bytes(self) -> bytes:
-        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "EngineSnapshot":
-        snapshot = pickle.loads(payload)
-        if not isinstance(snapshot, cls):
-            raise TypeError(f"not an EngineSnapshot: {type(snapshot)}")
-        return snapshot
-
-
-class Engine:
-    """One first-class logic engine: a query you pull answers from.
-
-    Create it from program/query source (compiled through the shared
-    :class:`~repro.serve.cache.ImageCache`, so engines over the same
-    pair share one image) and call :meth:`next_solution` until it
-    returns ``None``.  Between calls the machine sits paused at an
-    instruction boundary; :meth:`pause` freezes it into a picklable
-    :class:`EngineSnapshot` and :meth:`resume` rebuilds it — in this
-    process or any other — continuing bit-identically.
-
-    With ``checkpoint_every`` the engine executes in cycle slices and
-    hands each boundary's *incremental* checkpoint (``since=``
-    dirty-chunk deltas) to ``on_checkpoint`` — the durability hook the
-    serving layer uses for crash migration.
-    """
-
-    def __init__(self, program: str, query: str,
-                 io_mode: str = "stub",
-                 cache: Optional[ImageCache] = None,
-                 max_cycles: Optional[int] = None,
-                 checkpoint_every: Optional[int] = None,
-                 on_checkpoint: Optional[Callable] = None,
-                 _snapshot: Optional[EngineSnapshot] = None):
-        if checkpoint_every is not None and checkpoint_every <= 0:
-            raise ValueError("checkpoint_every must be positive")
-        self.cache = cache if cache is not None else default_image_cache()
-        self.program = program
-        self.query = query
-        self.io_mode = io_mode
-        self.key = image_key(program, query, io_mode)
-        self.image = self.cache.get(program, query, io_mode=io_mode)
-        self.checkpoint_every = checkpoint_every
-        self.on_checkpoint = on_checkpoint
-
-        machine = Machine(symbols=self.image.symbols)
-        self.image.install(machine)
-        machine.image = self.image
-        if max_cycles is not None:
-            machine.max_cycles = max_cycles
-        machine.stop_on_solution = True
-        self._machine = machine
-        self._started = False
-        self._finished = False
-        self._streamed = 0
-        #: latest incremental capture (the ``since=`` base of the next)
-        self._last_checkpoint: Optional[MachineCheckpoint] = None
-        if _snapshot is not None:
-            if _snapshot.key != self.key:
-                raise ValueError(
-                    f"snapshot key {_snapshot.key[:12]}... does not match "
-                    f"this program/query ({self.key[:12]}...)")
-            if _snapshot.started:
-                machine._bootstrap_stub(self.image.entry)
-                _snapshot.checkpoint.restore(machine)
-                machine.stop_on_solution = True
-                self._started = True
-                self._finished = machine.halted or machine.exhausted
-                self._last_checkpoint = _snapshot.checkpoint
-            self._streamed = _snapshot.streamed
-        if checkpoint_every is not None:
-            # Armed for the engine's lifetime: the dirty set must keep
-            # accumulating across next_solution() pauses, or a later
-            # since= capture would wrongly share chunks written in an
-            # earlier call's post-checkpoint tail.
-            machine.memory.store.track_dirty = True
-
-    # -- streaming -------------------------------------------------------------
-
-    @property
-    def exhausted(self) -> bool:
-        """No further solutions will come."""
-        return self._finished
-
-    @property
-    def streamed(self) -> int:
-        """Solutions handed out so far."""
-        return self._streamed
-
-    @property
-    def solutions(self):
-        """Every solution found so far (grows by one per
-        :meth:`next_solution`)."""
-        return self._machine.solutions
-
-    @property
-    def stats(self) -> RunStats:
-        """Cumulative run statistics (final values once exhausted are
-        bit-identical to an uninterrupted all-solutions run's)."""
-        return self._machine.stats
-
-    def next_solution(self) -> Optional[dict]:
-        """Drive the search to the next answer; ``None`` when the
-        search space is exhausted."""
-        if self._finished:
-            return None
-        machine = self._machine
-        before = len(machine.solutions)
-        if self.checkpoint_every is not None:
-            self._drive_sliced()
-        elif not self._started:
-            self._started = True
-            machine.run(self.image.entry, collect_all=True,
-                        answer_names=self.image.query_variable_names)
-        else:
-            machine.resume()
-        if machine.halted or machine.exhausted:
-            self._finished = True
-        new = machine.solutions[before:]
-        if new:
-            self._streamed += 1
-            return new[0]
-        return None
-
-    def _drive_sliced(self) -> None:
-        """One stop-at-solution leg under the cycle-sliced checkpoint
-        grid (same cadence semantics as the serving layer's)."""
-        machine = self._machine
-        every = self.checkpoint_every
-
-        def next_stop(cycles: int) -> int:
-            return cycles - cycles % every + every
-
-        def on_stop(m: Machine) -> None:
-            ckpt = MachineCheckpoint.capture(m, since=self._last_checkpoint)
-            self._last_checkpoint = ckpt
-            if self.on_checkpoint is not None:
-                self.on_checkpoint(ckpt)
-
-        if not self._started:
-            self._started = True
-            machine.run_sliced(self.image.entry, next_stop, on_stop,
-                               collect_all=True,
-                               answer_names=self.image.query_variable_names)
-        else:
-            machine.resume_sliced(next_stop, on_stop)
-
-    # -- pause / resume --------------------------------------------------------
-
-    def pause(self) -> EngineSnapshot:
-        """Freeze the engine into a picklable snapshot.
-
-        The capture is complete (safe to resume from with nothing
-        else), and the engine itself remains usable — pausing is a
-        read.
-        """
-        ckpt = MachineCheckpoint.capture(self._machine)
-        # A full capture consumed the dirty set; it is the new base any
-        # later incremental capture must diff against.
-        self._last_checkpoint = ckpt
-        return EngineSnapshot(
-            key=self.key, program=self.program, query=self.query,
-            io_mode=self.io_mode, checkpoint=ckpt,
-            streamed=self._streamed, started=self._started)
-
-    @classmethod
-    def resume(cls, snapshot: EngineSnapshot,
-               cache: Optional[ImageCache] = None,
-               checkpoint_every: Optional[int] = None,
-               on_checkpoint: Optional[Callable] = None) -> "Engine":
-        """Rebuild a paused engine from its snapshot (any process with
-        the same program source), continuing bit-identically."""
-        return cls(snapshot.program, snapshot.query,
-                   io_mode=snapshot.io_mode, cache=cache,
-                   checkpoint_every=checkpoint_every,
-                   on_checkpoint=on_checkpoint, _snapshot=snapshot)
-
-
 class EngineStore:
     """A byte-budgeted parking lot for paused engines.
 
-    Maps session ids to opaque payload bytes (pickled snapshots or
-    checkpoints).  The newest payloads stay resident; once resident
-    bytes exceed ``budget_bytes`` the least-recently-used spill to
-    disk — *hibernate* — each recorded with its SHA-256.  :meth:`get`
+    Maps session ids to opaque payload bytes (the resume tokens of
+    :meth:`~repro.serve.service.QueryService.run_steps`).  The newest
+    payloads stay resident; once resident bytes exceed
+    ``budget_bytes`` the least-recently-used spill to disk —
+    *hibernate* — each recorded with its SHA-256.  :meth:`get`
     rehydrates a hibernated payload and verifies the hash
     (:class:`EngineStoreCorrupt` on mismatch), so a session never
     resumes from silently corrupted state.

@@ -30,10 +30,19 @@ Spawn safety and image transport
     ``("image_shm", key, name, nbytes)`` message, copying the bytes
     out and detaching immediately.  Segments are unlinked in step with
     :class:`~repro.serve.cache.ImageCache` eviction (deferred to batch
-    end while a chunk may still attach) and at :meth:`close`.  Where
-    shared memory is unavailable the service falls back to shipping
+    end while a chunk may still attach) and at :meth:`close`.  Only if
+    creating a segment fails does the service fall back to shipping
     the payload over each worker's task queue, at most once per
     worker incarnation.
+
+One execution path
+    Every query, wherever it runs, goes through :func:`_execute`: a
+    worker calls it for each task of a chunk, and the parent calls it
+    for ``workers=0`` and for a collapsed pool.  It returns the
+    outcome tuple a worker ships over its pipe, and
+    :meth:`QueryService._finish_outcome` turns that outcome into the
+    slot's :class:`ServiceResult` and counters on both sides.
+    :meth:`EnginePool._drive` is the only cycle-slicing driver.
 
 Scheduling and ordering
     ``run_many`` dispatches **micro-batches**: up to ``batch_max``
@@ -105,17 +114,19 @@ Overload hardening (docs/RESILIENCE.md §7, :mod:`repro.serve.overload`)
     bounds worker respawns with exponential backoff; when every worker
     slot has exhausted its budget the pool has collapsed and the
     service turns **degraded**, draining the remaining work through the
-    parent's in-process fallback pool (still correct, no longer
-    parallel).  Admission control sheds by **priority class and age**
+    parent's in-process driver (still correct, no longer parallel).
+    Admission control sheds by **priority class and age**
     (``run_many(..., priorities=...)``) rather than FIFO position.
 
-``workers=0`` degrades to in-process serving over the same engine-pool
-code path (no processes, no pickling); the parallel-service benchmark
-uses it as the warm sequential baseline.  The in-process path cannot
-preempt, kill or respawn anything, so retry policies, admission
-control and chaos are worker-pool features; ``max_cycles``,
-``checkpoint_every`` (cycle-sliced execution) and — via cooperative
-deadline propagation — ``timeout_s``/``deadline_s`` work everywhere.
+``workers=0`` serves in-process through the same driver a collapsed
+pool drains through (:meth:`QueryService._serve_in_process`): no
+processes, no pickling of results; the parallel-service benchmark uses
+it as the warm sequential baseline.  The in-process path cannot
+preempt, kill or respawn anything, so its failures are final and
+retry policies, admission control, quarantine strikes and chaos are
+worker-pool features; ``max_cycles``, ``checkpoint_every``
+(cycle-sliced execution) and — via cooperative deadline propagation —
+``timeout_s``/``deadline_s`` work everywhere.
 """
 
 from __future__ import annotations
@@ -129,6 +140,7 @@ import time
 import weakref
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import multiprocessing as mp
@@ -138,7 +150,7 @@ from repro.compiler.linker import LinkedImage
 from repro.core.machine import Machine
 from repro.core.statistics import RunStats
 from repro.core.traps import MachineCheckpoint
-from repro.errors import KCMError, MachineError
+from repro.errors import KCMError
 from repro.serve.cache import ImageCache, default_image_cache, image_key
 from repro.serve.chaos import ChaosKilled, ChaosPolicy
 from repro.serve.overload import (
@@ -502,6 +514,64 @@ def _capture_error(err: BaseException,
     )
 
 
+def _execute(pool: EnginePool, key: str, image: LinkedImage, opts: dict,
+             payload: Optional[bytes],
+             on_checkpoint: Optional[Callable] = None,
+             on_slice: Optional[Callable[[], None]] = None) -> tuple:
+    """Run one task on ``pool`` and return its outcome, the tuple a
+    worker ships back over its pipe:
+
+    - ``("ok", solutions, stats, output, seconds)``;
+    - ``("paused", solutions, stats, output, seconds, ckpt_payload)``
+      for a stop-at-solution step with search left, the payload being
+      the pickled checkpoint the next step resumes from;
+    - ``("err", QueryError, partial_stats_or_None)``.
+
+    ``payload`` is a pickled :class:`MachineCheckpoint` to resume from
+    (``None``: run from the query entry).  Every failure becomes an
+    ``"err"`` outcome except :class:`ChaosKilled`, which propagates: a
+    worker must die of it.
+    """
+    machine: Optional[Machine] = None
+    try:
+        deadline = opts.get("deadline_monotonic")
+        if (deadline is not None
+                and opts.get("deadline_check_cycles") is not None
+                and time.monotonic() >= deadline):
+            # Expired while queued behind its chunk-mates: same
+            # cooperative abandonment, zero cycles spent.
+            raise DeadlineAbandoned(
+                opts.get("deadline_kind", "WallTimeout"), 0)
+        resume_from = pickle.loads(payload) if payload is not None else None
+        machine, stats, seconds = pool.run(
+            key, image, opts, on_checkpoint=on_checkpoint,
+            resume_from=resume_from, on_slice=on_slice)
+        delay = opts.get("chaos_delay_s")
+        if delay:
+            time.sleep(delay)
+        result = (machine.solutions, stats, "".join(machine.output), seconds)
+        if (machine.solution_paused
+                and not machine.halted and not machine.exhausted):
+            # Stop-at-solution: the engine paused with a fresh answer
+            # and more search left.  Its checkpoint is the resume
+            # token; the machine itself stays behind only as a warm
+            # pool entry, so a later step may resume anywhere.
+            return ("paused",) + result + (pickle.dumps(
+                MachineCheckpoint.capture(machine),
+                protocol=pickle.HIGHEST_PROTOCOL),)
+        return ("ok",) + result
+    except ChaosKilled:
+        raise
+    except DeadlineAbandoned as err:
+        # Cooperative deadline expiry: a typed transient failure, and
+        # nobody has to kill anything.
+        return ("err", QueryError(kind=err.kind, message=str(err),
+                                  cycles=err.cycles, transient=True), None)
+    except Exception as err:
+        return ("err", _capture_error(err, machine),
+                getattr(err, "stats", None))
+
+
 class _ResultSender:
     """Worker-side result streaming: buffer per-task outcomes and ship
     them in coalesced ``("done", ...)`` messages.
@@ -537,6 +607,13 @@ class _ResultSender:
     def heartbeat(self) -> None:
         self.send_now(("hb", self._worker_id, time.monotonic()))
 
+    def checkpoint(self, index: int, attempt: int,
+                   ckpt: MachineCheckpoint) -> None:
+        """Ship a task's mid-run checkpoint immediately (a buffered one
+        would be useless after a crash)."""
+        self.send_now(("ckpt", self._worker_id, index, attempt,
+                       pickle.dumps(ckpt, protocol=pickle.HIGHEST_PROTOCOL)))
+
     def add(self, outcome: tuple) -> None:
         """Buffer one task outcome; flush if the stream went stale."""
         self._buffer.append(outcome)
@@ -559,17 +636,6 @@ class _ResultSender:
             self.flush()
         else:
             self.heartbeat()
-
-
-def _shm_available() -> bool:
-    """Whether :mod:`multiprocessing.shared_memory` is importable here
-    (absent on some minimal platforms; the service falls back to
-    per-worker queue shipping)."""
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-        return True
-    except Exception:
-        return False
 
 
 def _attach_shared_image(name: str, nbytes: int) -> LinkedImage:
@@ -631,11 +697,9 @@ def _worker_main(worker_id: int, task_queue, result_conn,
       ``("ckpt", worker_id, index, attempt, payload)`` — shipped
       immediately (a buffered checkpoint would be useless after a
       crash),
-      ``("done", worker_id, [outcome, ...])`` — streamed batches of
-      ``(index, attempt, "ok", solutions, stats, output, seconds)``,
-      ``(index, attempt, "paused", solutions, stats, output, seconds,
-      ckpt_payload)`` (stop-at-solution session steps), or
-      ``(index, attempt, "err", QueryError, stats_or_None)``.
+      ``("done", worker_id, [(index, attempt, *outcome), ...])`` —
+      streamed batches of task outcomes as :func:`_execute` returns
+      them.
 
     The worker defers cyclic garbage collection: the collector is
     disabled at startup and run explicitly between micro-batches every
@@ -683,78 +747,24 @@ def _worker_main(worker_id: int, task_queue, result_conn,
             continue
         _, key, tasks = message
         image = images.get(key)
-        for index, attempt, opts, ckpt_payload in tasks:
-            machine: Optional[Machine] = None
-            try:
+        try:
+            for index, attempt, opts, payload in tasks:
                 if image is None:
-                    sender.add((index, attempt, "err", QueryError(
+                    outcome = ("err", QueryError(
                         kind="ImageUnavailable",
                         message=f"image {key[:12]}... not registered "
                                 f"with worker {worker_id}",
-                        transient=True), None))
-                    continue
-                deadline = opts.get("deadline_monotonic")
-                if (deadline is not None
-                        and opts.get("deadline_check_cycles") is not None
-                        and time.monotonic() >= deadline):
-                    # Expired while queued behind its chunk-mates: same
-                    # cooperative abandonment, zero cycles spent.
-                    raise DeadlineAbandoned(
-                        opts.get("deadline_kind", "WallTimeout"), 0)
-                resume_from = (pickle.loads(ckpt_payload)
-                               if ckpt_payload is not None else None)
-                on_checkpoint = None
-                if opts.get("checkpoint_every") is not None:
-                    def on_checkpoint(ckpt, _index=index,
-                                      _attempt=attempt):
-                        sender.send_now(
-                            ("ckpt", worker_id, _index, _attempt,
-                             pickle.dumps(
-                                 ckpt,
-                                 protocol=pickle.HIGHEST_PROTOCOL)))
-                machine, stats, seconds = pool.run(
-                    key, image, opts,
-                    on_checkpoint=on_checkpoint, resume_from=resume_from,
-                    on_slice=sender.tick)
-                delay = opts.get("chaos_delay_s")
-                if delay:
-                    time.sleep(delay)
-                if (machine.solution_paused
-                        and not machine.halted and not machine.exhausted):
-                    # Stop-at-solution: the engine paused with a fresh
-                    # answer and more search left.  Ship its checkpoint
-                    # as the resume token — the machine itself stays
-                    # here only as a warm pool entry; the parent owns
-                    # the session state (a later step may resume on any
-                    # worker).
-                    sender.add((index, attempt, "paused",
-                                machine.solutions, stats,
-                                "".join(machine.output), seconds,
-                                pickle.dumps(
-                                    MachineCheckpoint.capture(machine),
-                                    protocol=pickle.HIGHEST_PROTOCOL)))
+                        transient=True), None)
                 else:
-                    sender.add((index, attempt, "ok", machine.solutions,
-                                stats, "".join(machine.output), seconds))
-            except ChaosKilled:
-                sender.flush()
-                result_conn.close()
-                os._exit(_CHAOS_EXIT)
-            except DeadlineAbandoned as err:
-                # Cooperative deadline expiry: the worker survives, the
-                # task reports a typed transient failure, and the
-                # parent's reaper never has to kill anything.
-                sender.add((index, attempt, "err",
-                            QueryError(kind=err.kind, message=str(err),
-                                       cycles=err.cycles,
-                                       transient=True), None))
-            except MachineError as err:
-                sender.add((index, attempt, "err",
-                            _capture_error(err, machine),
-                            getattr(err, "stats", None)))
-            except BaseException as err:  # noqa: BLE001 — pool survives
-                sender.add((index, attempt, "err",
-                            _capture_error(err, machine), None))
+                    outcome = _execute(
+                        pool, key, image, opts, payload,
+                        partial(sender.checkpoint, index, attempt),
+                        sender.tick)
+                sender.add((index, attempt) + outcome)
+        except ChaosKilled:
+            sender.flush()
+            result_conn.close()
+            os._exit(_CHAOS_EXIT)
         sender.flush()
         tasks_since_collect += len(tasks)
         if tasks_since_collect >= _GC_DEFER_TASKS:
@@ -769,7 +779,7 @@ Query = Union[str, Tuple[str, str]]
 
 @dataclass
 class _BatchState:
-    """Everything one ``run_many`` collection loop tracks."""
+    """Everything one batch tracks, on the worker pool or in-process."""
 
     queries: Sequence
     prepared: List
@@ -847,8 +857,7 @@ class QueryService:
                  supervisor: Optional[SupervisorPolicy] = None,
                  deadline_check_cycles: Optional[int]
                  = _DEADLINE_CHECK_CYCLES,
-                 batch_max: int = _BATCH_MAX,
-                 use_shared_memory: bool = True):
+                 batch_max: int = _BATCH_MAX):
         if isinstance(program, str):
             self.programs = {DEFAULT_PROGRAM: program}
         else:
@@ -882,8 +891,9 @@ class QueryService:
         self.cache = cache if cache is not None else default_image_cache()
 
         self._closed = False
+        #: the parent's own engine pool: all of a ``workers=0`` service's
+        #: work, or what a collapsed pool drains through.
         self._local_pool: Optional[EnginePool] = None
-        self._fallback_pool: Optional[EnginePool] = None
         self._degraded = False
         self._breaker = (QuarantineBreaker(quarantine)
                          if quarantine is not None else None)
@@ -896,8 +906,7 @@ class QueryService:
         self._segments: Dict[str, Tuple] = {}
         self._ship_lock = threading.Lock()
         self._pending_drops: Set[str] = set()
-        self._use_shm = bool(workers) and use_shared_memory \
-            and _shm_available()
+        self._use_shm = True
         self._eviction_listener: Optional[Callable[[str], None]] = None
         self._context = mp.get_context("spawn")
         #: per-worker result pipes (receive ends).  One single-writer
@@ -939,8 +948,6 @@ class QueryService:
 
             self._eviction_listener = _on_evict
             self.cache.add_eviction_listener(_on_evict)
-        else:
-            self._local_pool = EnginePool(max_machines=max_machines)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -1123,7 +1130,6 @@ class QueryService:
         self._shipped = []
         self._worker_last_key = {}
         self._local_pool = None
-        self._fallback_pool = None
 
     def __enter__(self) -> "QueryService":
         return self
@@ -1195,35 +1201,56 @@ class QueryService:
         position — and dispatch order favours important slots, while
         results stay in input order.
         """
+        return self._run_batch(
+            queries, {"all_solutions": self.all_solutions
+                      if all_solutions is None else all_solutions},
+            max_cycles, timeout_s, retry, checkpoint_every, chaos,
+            deadline_s=deadline_s, priorities=priorities)
+
+    def _run_batch(self, queries: Sequence[Query], opts: dict,
+                   max_cycles: Optional[int], timeout_s: Optional[float],
+                   retry: Optional[RetryPolicy],
+                   checkpoint_every: Optional[int],
+                   chaos: Optional[ChaosPolicy],
+                   deadline_s: Optional[float] = None,
+                   priorities: Optional[Sequence[int]] = None,
+                   payloads: Optional[Dict[int, bytes]] = None,
+                   ) -> List[ServiceResult]:
+        """The batch runner behind :meth:`run_many` and
+        :meth:`run_steps`: compile, reject quarantined slots, admit,
+        then serve on the worker pool or in-process.  Session steps
+        (``payloads`` given, slot index to resume token) skip admission
+        control: a session is admitted once, when it opens."""
         if self._closed:
             raise RuntimeError("service is closed")
         if priorities is not None and len(priorities) != len(queries):
             raise ValueError("priorities must match queries 1:1")
-        policy = retry if retry is not None else self.retry
-        chaos_policy = chaos if chaos is not None else self.chaos
-        every = (checkpoint_every if checkpoint_every is not None
-                 else self.checkpoint_every)
-        opts = {
-            "all_solutions": self.all_solutions if all_solutions is None
-            else all_solutions,
-            "max_cycles": self.max_cycles if max_cycles is None
-            else max_cycles,
-            "recovery": self.recovery,
-            "checkpoint_every": every,
-        }
+        opts = dict(opts,
+                    max_cycles=(self.max_cycles if max_cycles is None
+                                else max_cycles),
+                    recovery=self.recovery,
+                    checkpoint_every=(self.checkpoint_every
+                                      if checkpoint_every is None
+                                      else checkpoint_every))
         results, prepared, runnable = self._prepare(queries)
-        runnable = self._reject_quarantined(queries, prepared, runnable,
-                                            results)
-        runnable = self._admit(queries, runnable, results, priorities)
-        batch_deadline = (time.monotonic() + deadline_s
-                          if deadline_s is not None else None)
-
-        if not self.workers:
-            self._run_local(queries, prepared, runnable, opts, results,
-                            timeout_s, batch_deadline)
+        state = _BatchState(
+            queries=queries, prepared=prepared, opts=opts,
+            timeout_s=timeout_s, results=results,
+            policy=retry if retry is not None else self.retry,
+            chaos=chaos if chaos is not None else self.chaos,
+            batch_deadline=(time.monotonic() + deadline_s
+                            if deadline_s is not None else None),
+            runnable=runnable, idle=deque())
+        self._reject_quarantined(state)
+        if payloads is None:
+            self._admit(state, priorities)
         else:
-            self._run_pooled(queries, prepared, runnable, opts, timeout_s,
-                             results, policy, chaos_policy, batch_deadline)
+            state.resume_payload.update(payloads)
+            state.base_payload.update(payloads)
+        if self.workers:
+            self._run_pooled(state)
+        else:
+            self._serve_in_process(state)
         missing = [index for index, result in enumerate(results)
                    if result is None]
         if missing:
@@ -1290,69 +1317,36 @@ class QueryService:
         primitive :class:`repro.serve.session.SessionService` builds
         ``next_solution`` on.
         """
-        if self._closed:
-            raise RuntimeError("service is closed")
-        policy = retry if retry is not None else self.retry
-        chaos_policy = chaos if chaos is not None else self.chaos
-        every = (checkpoint_every if checkpoint_every is not None
-                 else self.checkpoint_every)
-        opts = {
-            "all_solutions": True,
-            "stop_on_solution": True,
-            "max_cycles": self.max_cycles if max_cycles is None
-            else max_cycles,
-            "recovery": self.recovery,
-            "checkpoint_every": every,
-        }
-        queries: List[Query] = [(name, text) for name, text, _ in steps]
-        results, prepared, runnable = self._prepare(queries)
-        runnable = self._reject_quarantined(queries, prepared, runnable,
-                                            results)
-        payloads = {index: payload
-                    for index, (_, _, payload) in enumerate(steps)
-                    if payload is not None}
-        if not self.workers:
-            self._run_local(queries, prepared, runnable, opts, results,
-                            timeout_s, None, step_payloads=payloads)
-        else:
-            self._run_pooled(queries, prepared, runnable, opts, timeout_s,
-                             results, policy, chaos_policy, None,
-                             step_payloads=payloads)
-        missing = [index for index, result in enumerate(results)
-                   if result is None]
-        if missing:
-            raise RuntimeError(
-                f"internal error: step slots {missing} were never filled")
-        return results  # type: ignore[return-value]
+        return self._run_batch(
+            [(name, text) for name, text, _ in steps],
+            {"all_solutions": True, "stop_on_solution": True},
+            max_cycles, timeout_s, retry, checkpoint_every, chaos,
+            payloads={index: payload
+                      for index, (_, _, payload) in enumerate(steps)
+                      if payload is not None})
 
-    def _reject_quarantined(self, queries, prepared, runnable: deque,
-                            results) -> deque:
+    def _reject_quarantined(self, state: _BatchState) -> None:
         """Fail every slot whose query key has an open poison breaker
         — before admission, so a quarantined query cannot consume
         capacity another query could have used."""
         if self._breaker is None:
-            return runnable
+            return
         admitted = deque()
-        for index in runnable:
-            key = prepared[index][0]
-            if not self._breaker.quarantined(key):
+        for index in state.runnable:
+            if not self._breaker.quarantined(state.prepared[index][0]):
                 admitted.append(index)
                 continue
-            name, text = self._describe(queries, index)
             self._counters["quarantines"] += 1
-            self._counters["failed"] += 1
-            results[index] = ServiceResult(
-                index=index, program=name, query=text,
-                error=QueryError(
-                    POISONED,
-                    f"query key quarantined after "
-                    f"{self.quarantine.threshold} worker-killing or "
-                    f"budget-exhausting attempts; rejected without "
-                    f"dispatch", attempts=0))
-        return admitted
+            self._settle(state, index, "failed", error=QueryError(
+                POISONED,
+                f"query key quarantined after "
+                f"{self.quarantine.threshold} worker-killing or "
+                f"budget-exhausting attempts; rejected without "
+                f"dispatch", attempts=0))
+        state.runnable = admitted
 
-    def _admit(self, queries, runnable: deque, results,
-               priorities: Optional[Sequence[int]] = None) -> deque:
+    def _admit(self, state: _BatchState,
+               priorities: Optional[Sequence[int]] = None) -> None:
         """Admission control: bound the queue beyond worker capacity,
         shedding by priority class and age.
 
@@ -1368,31 +1362,22 @@ class QueryService:
         input order regardless.
         """
         if priorities is not None:
-            runnable = deque(sorted(runnable,
-                                    key=lambda i: (priorities[i], i)))
+            state.runnable = deque(sorted(state.runnable,
+                                          key=lambda i: (priorities[i], i)))
         if not self.workers or self.max_queue_depth is None:
-            return runnable
+            return
         capacity = self.workers + self.max_queue_depth
-        if len(runnable) <= capacity:
-            return runnable
-        admitted = deque()
-        for position, index in enumerate(runnable):
-            if position < capacity:
-                admitted.append(index)
-                continue
-            name, text = self._describe(queries, index)
+        ranked = list(state.runnable)
+        state.runnable = deque(ranked[:capacity])
+        for position, index in enumerate(ranked[capacity:], capacity):
             priority = priorities[index] if priorities is not None else 0
-            self._counters["sheds"] += 1
-            results[index] = ServiceResult(
-                index=index, program=name, query=text,
-                error=QueryError(
-                    "Shed",
-                    f"admission control: priority-{priority} slot ranked "
-                    f"{position} by (priority, age) exceeds capacity "
-                    f"{capacity} "
-                    f"({self.workers} workers + {self.max_queue_depth} queued)",
-                    transient=True, attempts=0))
-        return admitted
+            self._settle(state, index, "sheds", error=QueryError(
+                "Shed",
+                f"admission control: priority-{priority} slot ranked "
+                f"{position} by (priority, age) exceeds capacity "
+                f"{capacity} "
+                f"({self.workers} workers + {self.max_queue_depth} queued)",
+                transient=True, attempts=0))
 
     def _normalize(self, query: Query) -> Tuple[str, str]:
         if isinstance(query, str):
@@ -1400,9 +1385,55 @@ class QueryService:
         name, text = query
         return name, text
 
-    def _describe(self, queries: Sequence[Query],
-                  index: int) -> Tuple[str, str]:
-        return self._normalize(queries[index])
+    def _settle(self, state: _BatchState, index: int, counter: str,
+                **fields) -> None:
+        """Give slot ``index`` its final result, counted under
+        ``counter``."""
+        self._counters[counter] += 1
+        name, text = self._normalize(state.queries[index])
+        state.results[index] = ServiceResult(
+            index=index, program=name, query=text, **fields)
+
+    def _finish_outcome(self, index: int, attempt: int, outcome: tuple,
+                        state: _BatchState, worker_id: int = -1) -> None:
+        """Turn one :func:`_execute` outcome into slot ``index``'s
+        result and counters.  A failure on a worker goes through
+        :meth:`_dispose_failure` (quarantine, retry); an in-process
+        failure (``worker_id`` -1) is final."""
+        state.checkpoints.pop(index, None)
+        status = outcome[0]
+        if status != "err":
+            solutions, stats, output, seconds = outcome[1:5]
+            self._settle(
+                state, index, "completed", solutions=solutions,
+                stats=stats, output=output, worker=worker_id,
+                host_seconds=seconds, paused=(status == "paused"),
+                session_payload=(outcome[5] if status == "paused"
+                                 else None),
+                attempts=attempt)
+            return
+        _, error, partial_stats = outcome
+        # Machine and compile failures are deterministic and permanent;
+        # a deadline abandonment (WallTimeout/DeadlineExceeded) is a
+        # transient host event — same disposition as a parent-side
+        # expiry, minus the kill and respawn.  ImageUnavailable means
+        # the worker's segment attach lost a race with a cache
+        # eviction: forget the ship record so the retry re-ships a
+        # fresh copy.
+        error.attempts = attempt
+        if error.kind in ("WallTimeout", "DeadlineExceeded"):
+            self._counters["deadline_abandons"] += 1
+            if error.kind == "WallTimeout":
+                self._counters["timeouts"] += 1
+        elif error.kind == "ImageUnavailable":
+            self._shipped[worker_id].discard(state.prepared[index][0])
+        if worker_id < 0:
+            self._settle(state, index, "failed", stats=partial_stats,
+                         error=error)
+        else:
+            self._dispose_failure(index, attempt, error, state,
+                                  worker_id=worker_id,
+                                  partial_stats=partial_stats)
 
     # -- in-process serving ----------------------------------------------------
 
@@ -1432,61 +1463,57 @@ class QueryService:
         merged["deadline_kind"] = kind
         return merged, deadline, True
 
-    def _run_local(self, queries, prepared, runnable, opts, results,
-                   timeout_s=None, batch_deadline=None,
-                   step_payloads=None) -> None:
-        pool = self._local_pool
-        assert pool is not None
-        for index in runnable:
-            key, image = prepared[index]
-            name, text = self._describe(queries, index)
-            if (batch_deadline is not None
-                    and time.monotonic() >= batch_deadline):
-                self._counters["failed"] += 1
-                results[index] = ServiceResult(
-                    index=index, program=name, query=text,
-                    error=QueryError(
-                        "DeadlineExceeded",
-                        "batch deadline passed before the query was "
-                        "dispatched", transient=True, attempts=0))
+    def _serve_in_process(self, state: _BatchState) -> None:
+        """Serve every pending slot of the batch, in order, on the
+        parent's own engine pool.
+
+        This is all of a ``workers=0`` service's work, and where a
+        collapsed worker pool (every slot retired) drains the rest of
+        its batches: the service turns degraded and counts each slot
+        in ``local_fallbacks``.  Still correct — the warm-reuse
+        determinism guarantee makes a parent-side machine produce
+        bit-identical results — just not parallel, not preemptable and
+        not chaos-ridden (chaos models worker death).  A slot resumes
+        from its last shipped checkpoint, else from its step payload.
+        Failures here are final: no retry, no quarantine strike.
+        """
+        if self.workers:
+            self._degraded = True
+        if self._local_pool is None:
+            self._local_pool = EnginePool(max_machines=self.max_machines)
+        for index in self._take_pending(state):
+            if (state.batch_deadline is not None
+                    and time.monotonic() >= state.batch_deadline):
+                self._expire_slot(state, index)
                 continue
-            run_opts, _, _ = self._deadline_opts(opts, timeout_s,
-                                                 batch_deadline)
-            payload = (step_payloads.get(index)
-                       if step_payloads is not None else None)
-            resume_from = (pickle.loads(payload)
-                           if payload is not None else None)
-            machine: Optional[Machine] = None
-            try:
-                machine, stats, seconds = pool.run(
-                    key, image, run_opts, resume_from=resume_from)
-                self._counters["completed"] += 1
-                paused = (machine.solution_paused
-                          and not machine.halted and not machine.exhausted)
-                results[index] = ServiceResult(
-                    index=index, program=name, query=text,
-                    solutions=machine.solutions, stats=stats,
-                    output="".join(machine.output),
-                    host_seconds=seconds, paused=paused,
-                    session_payload=(pickle.dumps(
-                        MachineCheckpoint.capture(machine),
-                        protocol=pickle.HIGHEST_PROTOCOL)
-                        if paused else None))
-            except DeadlineAbandoned as err:
-                self._counters["failed"] += 1
-                self._counters["deadline_abandons"] += 1
-                if err.kind == "WallTimeout":
-                    self._counters["timeouts"] += 1
-                results[index] = ServiceResult(
-                    index=index, program=name, query=text,
-                    error=QueryError(kind=err.kind, message=str(err),
-                                     cycles=err.cycles, transient=True))
-            except MachineError as err:
-                self._counters["failed"] += 1
-                results[index] = ServiceResult(
-                    index=index, program=name, query=text,
-                    stats=getattr(err, "stats", None),
-                    error=_capture_error(err, machine))
+            attempt = state.attempts.get(index, 0) + 1
+            state.attempts[index] = attempt
+            if self.workers:
+                self._counters["local_fallbacks"] += 1
+            payload = state.resume_payload.pop(
+                index, state.base_payload.get(index))
+            opts, _, _ = self._deadline_opts(
+                state.opts, state.timeout_s, state.batch_deadline)
+            key, image = state.prepared[index]
+            self._finish_outcome(index, attempt, _execute(
+                self._local_pool, key, image, opts, payload), state)
+
+    @staticmethod
+    def _take_pending(state: _BatchState) -> List[int]:
+        """Empty the runnable queue and the retry heap; returns their
+        slots, runnable ones first, then retries in ready order."""
+        pending = list(state.runnable)
+        pending.extend(index for _, index in sorted(state.retry_ready))
+        state.runnable.clear()
+        state.retry_ready.clear()
+        return pending
+
+    def _expire_slot(self, state: _BatchState, index: int) -> None:
+        """Fail a slot whose batch deadline passed before dispatch."""
+        self._settle(state, index, "failed", error=QueryError(
+            "DeadlineExceeded",
+            "batch deadline passed before the query was dispatched",
+            transient=True, attempts=state.attempts.get(index, 0)))
 
     # -- pooled serving --------------------------------------------------------
 
@@ -1498,9 +1525,10 @@ class QueryService:
         the image is pickled once per service and every worker —
         including every respawn — registers it with a constant-size
         ``("image_shm", ...)`` message instead of re-receiving the
-        payload over its pipe.  When shared memory is unavailable (or
-        segment creation fails) the service falls back permanently to
-        per-worker queue shipping with a parent-side pickle cache.
+        payload over its pipe.  If creating a segment fails (no shared
+        memory on this platform, or the platform refuses one) the
+        service falls back permanently to per-worker queue shipping
+        with a parent-side pickle cache.
         """
         if key in self._shipped[worker_id]:
             return
@@ -1586,26 +1614,17 @@ class QueryService:
         for key in drops:
             self._drop_key_now(key)
 
-    def _run_pooled(self, queries, prepared, runnable, opts, timeout_s,
-                    results, policy, chaos, batch_deadline,
-                    step_payloads=None) -> None:
+    def _run_pooled(self, state: _BatchState) -> None:
         supervisor = self._supervisor
-        state = _BatchState(
-            queries=queries, prepared=prepared, opts=opts,
-            timeout_s=timeout_s, results=results, policy=policy,
-            chaos=chaos, batch_deadline=batch_deadline,
-            runnable=runnable,
-            idle=deque(worker_id for worker_id in range(self.workers)
-                       if supervisor is None
-                       or not supervisor.retired(worker_id)))
-        if step_payloads:
-            state.resume_payload.update(step_payloads)
-            state.base_payload.update(step_payloads)
+        state.idle.extend(worker_id for worker_id in range(self.workers)
+                          if supervisor is None
+                          or not supervisor.retired(worker_id))
         self._batch = state
         try:
             while state.runnable or state.retry_ready or state.inflight:
                 now = time.monotonic()
-                if batch_deadline is not None and now >= batch_deadline:
+                if (state.batch_deadline is not None
+                        and now >= state.batch_deadline):
                     self._expire_batch(state)
                     break
                 while (state.respawn_ready
@@ -1635,8 +1654,8 @@ class QueryService:
                         and (state.runnable or state.retry_ready)):
                     # Every worker slot is retired and nothing is in
                     # flight: the pool has collapsed.  Serve the rest
-                    # of the batch through the local fallback path.
-                    self._serve_degraded(state)
+                    # of the batch in-process.
+                    self._serve_in_process(state)
                     break
                 messages = self._collect_messages(
                     self._wait_interval(state))
@@ -1752,12 +1771,6 @@ class QueryService:
         self._worker_last_key[worker_id] = key
         state.inflight[worker_id] = entries
 
-    def _dispatch(self, index: int, worker_id: int,
-                  state: _BatchState) -> None:
-        """Hand slot ``index`` alone to ``worker_id`` (a singleton
-        chunk; the collection loop goes through :meth:`_next_chunk`)."""
-        self._dispatch_chunk([index], worker_id, state)
-
     def _deliver(self, message, state: _BatchState) -> None:
         """Apply one worker message to the batch state."""
         kind, worker_id = message[0], message[1]
@@ -1781,47 +1794,11 @@ class QueryService:
             if current is None or current[0] != attempt:
                 continue    # stale outcome from a superseded incarnation
             del entries[index]
-            self._finish_outcome(outcome, worker_id, state)
+            self._finish_outcome(index, attempt, outcome[2:], state,
+                                 worker_id)
         if entries is not None and not entries:
             del state.inflight[worker_id]
             state.idle.append(worker_id)
-
-    def _finish_outcome(self, outcome, worker_id: int,
-                        state: _BatchState) -> None:
-        """Finalise one task outcome out of a ``("done", ...)`` batch."""
-        index, attempt, status = outcome[0], outcome[1], outcome[2]
-        state.checkpoints.pop(index, None)
-        name, text = self._describe(state.queries, index)
-        if status in ("ok", "paused"):
-            solutions, stats, output, seconds = outcome[3:7]
-            payload = outcome[7] if status == "paused" else None
-            self._counters["completed"] += 1
-            state.results[index] = ServiceResult(
-                index=index, program=name, query=text,
-                solutions=solutions, stats=stats, output=output,
-                worker=worker_id, host_seconds=seconds,
-                paused=(status == "paused"), session_payload=payload,
-                attempts=attempt)
-            return
-        _, _, _, error, partial_stats = outcome
-        # Worker-reported machine/compile failures are deterministic
-        # and permanent; a worker-reported deadline abandonment
-        # (WallTimeout/DeadlineExceeded) is a transient host event —
-        # same disposition as a parent-side expiry, minus the kill and
-        # respawn.  ImageUnavailable means the worker's segment attach
-        # lost a race with a cache eviction: forget the ship record so
-        # the retry re-ships a fresh copy.
-        error.attempts = attempt
-        if error.kind in ("WallTimeout", "DeadlineExceeded"):
-            self._counters["deadline_abandons"] += 1
-            if error.kind == "WallTimeout":
-                self._counters["timeouts"] += 1
-        elif error.kind == "ImageUnavailable":
-            if 0 <= worker_id < len(self._shipped):
-                self._shipped[worker_id].discard(state.prepared[index][0])
-        self._dispose_failure(index, attempt, error, state,
-                              worker_id=worker_id,
-                              partial_stats=partial_stats)
 
     def _collect_messages(self, timeout: float) -> List[tuple]:
         """Block up to ``timeout`` for worker messages; return every
@@ -1957,18 +1934,15 @@ class QueryService:
             if strike:
                 self._breaker.record(key, error.kind)
             if self._breaker.quarantined(key):
-                name, text = self._describe(state.queries, index)
                 self._counters["quarantines"] += 1
-                self._counters["failed"] += 1
-                state.results[index] = ServiceResult(
-                    index=index, program=name, query=text,
-                    worker=worker_id,
-                    error=QueryError(
-                        POISONED,
-                        f"query key quarantined: "
-                        f"{self._breaker.strikes(key)} worker-killing or "
-                        f"budget-exhausting attempts (last: {error.kind}: "
-                        f"{error.message})", attempts=attempt))
+                self._settle(state, index, "failed", worker=worker_id,
+                             error=QueryError(
+                                 POISONED,
+                                 f"query key quarantined: "
+                                 f"{self._breaker.strikes(key)} "
+                                 f"worker-killing or budget-exhausting "
+                                 f"attempts (last: {error.kind}: "
+                                 f"{error.message})", attempts=attempt))
                 return
         now = time.monotonic()
         policy = state.policy
@@ -1989,96 +1963,8 @@ class QueryService:
             heapq.heappush(state.retry_ready,
                            (now + policy.delay_s(index, attempt), index))
             return
-        name, text = self._describe(state.queries, index)
-        self._counters["failed"] += 1
-        state.results[index] = ServiceResult(
-            index=index, program=name, query=text, worker=worker_id,
-            stats=partial_stats, error=error)
-
-    # -- degraded-mode fallback ------------------------------------------------
-
-    def _serve_degraded(self, state: _BatchState) -> None:
-        """The worker pool collapsed (every slot retired): drain the
-        remaining work through an in-process engine pool.
-
-        Still correct — the warm-reuse determinism guarantee makes a
-        parent-side machine produce bit-identical results — just not
-        parallel, not preemptable and not chaos-ridden (chaos models
-        worker death; there is no worker left to die).  Slots whose
-        last attempt shipped a checkpoint resume from it.
-        """
-        self._degraded = True
-        if self._fallback_pool is None:
-            self._fallback_pool = EnginePool(max_machines=self.max_machines)
-        pending = list(state.runnable)
-        pending.extend(index for _, index in sorted(state.retry_ready))
-        state.runnable.clear()
-        state.retry_ready.clear()
-        for index in pending:
-            if state.results[index] is not None:
-                continue
-            if (state.batch_deadline is not None
-                    and time.monotonic() >= state.batch_deadline):
-                name, text = self._describe(state.queries, index)
-                self._counters["failed"] += 1
-                state.results[index] = ServiceResult(
-                    index=index, program=name, query=text,
-                    error=QueryError(
-                        "DeadlineExceeded",
-                        "batch deadline passed before the degraded "
-                        "fallback reached the query", transient=True,
-                        attempts=state.attempts.get(index, 0)))
-                continue
-            self._run_fallback_slot(index, state)
-
-    def _run_fallback_slot(self, index: int, state: _BatchState) -> None:
-        """Execute one slot on the parent's fallback engine pool."""
-        key, image = state.prepared[index]
-        name, text = self._describe(state.queries, index)
-        attempt = state.attempts.get(index, 0) + 1
-        state.attempts[index] = attempt
-        self._counters["local_fallbacks"] += 1
-        payload = state.resume_payload.pop(index, None)
-        if payload is None:
-            payload = state.base_payload.get(index)
-        resume_from = (pickle.loads(payload)
-                       if payload is not None else None)
-        run_opts, _, _ = self._deadline_opts(
-            state.opts, state.timeout_s, state.batch_deadline)
-        machine: Optional[Machine] = None
-        try:
-            machine, stats, seconds = self._fallback_pool.run(
-                key, image, run_opts, resume_from=resume_from)
-            self._counters["completed"] += 1
-            paused = (machine.solution_paused
-                      and not machine.halted and not machine.exhausted)
-            state.results[index] = ServiceResult(
-                index=index, program=name, query=text,
-                solutions=machine.solutions, stats=stats,
-                output="".join(machine.output),
-                host_seconds=seconds, paused=paused,
-                session_payload=(pickle.dumps(
-                    MachineCheckpoint.capture(machine),
-                    protocol=pickle.HIGHEST_PROTOCOL)
-                    if paused else None),
-                attempts=attempt)
-        except DeadlineAbandoned as err:
-            self._counters["failed"] += 1
-            self._counters["deadline_abandons"] += 1
-            if err.kind == "WallTimeout":
-                self._counters["timeouts"] += 1
-            state.results[index] = ServiceResult(
-                index=index, program=name, query=text,
-                error=QueryError(kind=err.kind, message=str(err),
-                                 cycles=err.cycles, transient=True,
-                                 attempts=attempt))
-        except BaseException as err:    # noqa: BLE001 — batch must finish
-            self._counters["failed"] += 1
-            error = _capture_error(err, machine)
-            error.attempts = attempt
-            state.results[index] = ServiceResult(
-                index=index, program=name, query=text,
-                stats=getattr(err, "stats", None), error=error)
+        self._settle(state, index, "failed", worker=worker_id,
+                     stats=partial_stats, error=error)
 
     def _expire_batch(self, state: _BatchState) -> None:
         """The batch deadline passed: drain what already finished (it
@@ -2101,19 +1987,5 @@ class QueryService:
                 worker_id, "DeadlineExceeded",
                 "batch deadline passed while the query was in flight; "
                 "worker restarted", state)
-        pending = list(state.runnable) + [index for _, index
-                                          in state.retry_ready]
-        state.runnable.clear()
-        state.retry_ready.clear()
-        for index in pending:
-            if state.results[index] is not None:
-                continue
-            name, text = self._describe(state.queries, index)
-            self._counters["failed"] += 1
-            state.results[index] = ServiceResult(
-                index=index, program=name, query=text,
-                error=QueryError(
-                    "DeadlineExceeded",
-                    "batch deadline passed before the query was "
-                    "dispatched", transient=True,
-                    attempts=state.attempts.get(index, 0)))
+        for index in self._take_pending(state):
+            self._expire_slot(state, index)

@@ -27,7 +27,8 @@ solution at a time, close it (or abandon it and let the lease lapse).
 - **hibernation** — between steps the resume token lives in an
   :class:`~repro.serve.engine.EngineStore`, a byte-budgeted LRU that
   spills cold sessions' checkpoints to disk (content-hash verified on
-  wake), bounding parent RSS no matter how many sessions sit idle.
+  wake; a token that fails verification fails its session alone),
+  bounding parent RSS no matter how many sessions sit idle.
 
 Accounting is exact: every opened session ends in exactly one of
 *done*, *failed*, *closed* or *reaped*, and at :meth:`~SessionService.
@@ -46,7 +47,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import KCMError
 from repro.serve.chaos import ChaosPolicy
-from repro.serve.engine import EngineStore
+from repro.serve.engine import EngineStore, EngineStoreCorrupt
 from repro.serve.overload import LeasePolicy
 from repro.serve.retry import RetryPolicy
 from repro.serve.service import (QueryError, QueryService, ServiceHealth,
@@ -269,7 +270,9 @@ class SessionService:
         the steps micro-batch across the worker pool together.  Expired
         sessions are reaped up front and reported ``EXPIRED`` without
         consuming capacity; each surviving step renews its session's
-        lease.
+        lease.  A session whose hibernated engine fails verification on
+        wake fails alone (``FAILED``, ``EngineStoreCorrupt``); the rest
+        of the round still advances.
         """
         if self._closed:
             raise RuntimeError("session service is closed")
@@ -277,8 +280,7 @@ class SessionService:
             raise ValueError("duplicate session ids in one advance round")
         now = self.clock()
         outcomes: List[Optional[StepOutcome]] = [None] * len(session_ids)
-        live: List[_Session] = []
-        live_slots: List[int] = []
+        live = []
         for slot, session_id in enumerate(session_ids):
             record = self._record(session_id)
             if now >= record.lease_expires:
@@ -289,11 +291,24 @@ class SessionService:
             if record.finished:
                 outcomes[slot] = self._finish(record)
                 continue
-            live.append(record)
-            live_slots.append(slot)
-        if live:
-            results = self._run_round(live)
-            for slot, record, result in zip(live_slots, live, results):
+            live.append((slot, record))
+        # Tokens wake only after the loop above released every expired
+        # session's bytes: a wake can spill other tokens, so this order
+        # decides which of them hibernate.
+        steps, stepping = [], []
+        for slot, record in live:
+            try:
+                payload = (self.store.get(record.session_id)
+                           if record.started else None)
+            except EngineStoreCorrupt as err:
+                outcomes[slot] = self._fail(record, QueryError(
+                    "EngineStoreCorrupt", str(err), attempts=0), attempts=0)
+                continue
+            steps.append((record.program, record.query, payload))
+            stepping.append((slot, record))
+        if steps:
+            results = self._run_round(steps)
+            for (slot, record), result in zip(stepping, results):
                 outcomes[slot] = self._absorb(record, result)
         return outcomes  # type: ignore[return-value]  # every slot filled
 
@@ -306,13 +321,7 @@ class SessionService:
             if outcome.status != SOLUTION:
                 return outcome
 
-    def _run_round(self, records: Sequence[_Session]
-                   ) -> List[ServiceResult]:
-        steps = []
-        for record in records:
-            payload = (self.store.get(record.session_id)
-                       if record.started else None)
-            steps.append((record.program, record.query, payload))
+    def _run_round(self, steps: List[tuple]) -> List[ServiceResult]:
         self._round += 1
         chaos = self.chaos
         if chaos is not None:
@@ -330,13 +339,8 @@ class SessionService:
         """Fold one step result into the session record."""
         crashed_attempts = max(0, result.attempts - 1)
         if not result.ok:
-            self._sessions.pop(record.session_id, None)
-            self.store.pop(record.session_id)
-            self._counters["sessions_failed"] += 1
-            return StepOutcome(session_id=record.session_id,
-                               status=FAILED, error=result.error,
-                               attempts=result.attempts,
-                               worker=result.worker)
+            return self._fail(record, result.error, result.attempts,
+                              result.worker)
         record.lease_expires = self.clock() + self.lease.ttl_s
         record.started = True
         record.worker = result.worker
@@ -376,6 +380,15 @@ class SessionService:
             solutions=list(result.solutions), stats=result.stats,
             migrated=crashed_attempts > 0,
             attempts=result.attempts, worker=result.worker)
+
+    def _fail(self, record: _Session, error: QueryError,
+              attempts: int = 1, worker: int = -1) -> StepOutcome:
+        """Close a session on a final error and reclaim its engine."""
+        self._sessions.pop(record.session_id, None)
+        self.store.pop(record.session_id)
+        self._counters["sessions_failed"] += 1
+        return StepOutcome(session_id=record.session_id, status=FAILED,
+                           error=error, attempts=attempts, worker=worker)
 
     def _finish(self, record: _Session) -> StepOutcome:
         """Deliver the parked DONE of a session whose last solution

@@ -20,9 +20,7 @@ from repro.serve import (
     ChaosPolicy, QueryService, RetryPolicy, verify_chaos_invariant,
 )
 from repro.serve.cache import ImageCache, image_key
-from repro.serve.service import (
-    EnginePool, _BatchState, _ResultSender, _shm_available,
-)
+from repro.serve.service import EnginePool, _BatchState, _ResultSender
 
 FACTS = "colour(red). colour(green). colour(blue)."
 APPEND = ("append([], L, L). "
@@ -57,20 +55,38 @@ def _attachable(name):
     return True
 
 
+@pytest.fixture
+def no_shm(monkeypatch):
+    """Make creating a shared-memory segment fail in this (the parent)
+    process, so a service falls back to per-worker queue shipping."""
+    from multiprocessing import shared_memory
+
+    def refuse(*args, **kwargs):
+        raise OSError("shared memory refused for this test")
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+
+
+def _shm_or_queue(use_shm, request):
+    """Pin a parametrized test to one image transport."""
+    if use_shm:
+        pytest.importorskip("multiprocessing.shared_memory")
+    else:
+        request.getfixturevalue("no_shm")
+
+
 # -- the parent-side pickle cache is bounded by the ImageCache ---------------
 
 @pytest.mark.parametrize("use_shm", [False, True])
-def test_derived_state_evicted_with_cache(use_shm):
+def test_derived_state_evicted_with_cache(use_shm, request):
     """Regression for the unbounded ``_payloads`` dict: when the
     ImageCache evicts a key, every piece of derived per-key state —
     the parent-side pickle, the shared segment, the workers' shipped
     records — must go with it, between batches."""
-    if use_shm and not _shm_available():
-        pytest.skip("no shared memory on this platform")
+    _shm_or_queue(use_shm, request)
     programs = _variant_programs(6)
     cache = ImageCache(max_entries=2)
-    with QueryService(programs, workers=1, cache=cache,
-                      use_shared_memory=use_shm) as service:
+    with QueryService(programs, workers=1, cache=cache) as service:
         for i in range(6):
             assert service.run((f"facts{i}", "colour(C)")).ok
         # The cache holds at most 2 images; the service must not be
@@ -84,10 +100,10 @@ def test_derived_state_evicted_with_cache(use_shm):
                    for shipped in service._shipped)
 
 
-def test_close_clears_payloads_and_segments():
+def test_close_clears_payloads_and_segments(no_shm):
     """Regression: the seed's close() reset queues and pools but left
     ``_payloads`` populated for the life of the service object."""
-    service = QueryService(PROGRAMS, workers=1, use_shared_memory=False)
+    service = QueryService(PROGRAMS, workers=1)
     try:
         assert service.run(("facts", "colour(C)")).ok
         assert service._payloads      # fallback path populated it
@@ -109,8 +125,7 @@ def test_eviction_listener_removed_on_close():
 # -- shared-memory lifecycle -------------------------------------------------
 
 def test_shm_ships_once_and_unlinks_on_close():
-    if not _shm_available():
-        pytest.skip("no shared memory on this platform")
+    pytest.importorskip("multiprocessing.shared_memory")
     service = QueryService(PROGRAMS, workers=2)
     try:
         assert service._use_shm
@@ -136,8 +151,7 @@ def test_shm_survives_chaos_kill_without_leaking():
     retried queries succeed bit-identically, and close() still unlinks
     every segment (the kill leaked no tracker registrations that could
     unlink the parent's segments early or double-free at exit)."""
-    if not _shm_available():
-        pytest.skip("no shared memory on this platform")
+    pytest.importorskip("multiprocessing.shared_memory")
     batch = [("nrev", "run(20, R)"), ("nrev", "run(15, R)")]
     with QueryService(PROGRAMS, workers=0) as reference:
         expected = reference.run_many(batch)
@@ -159,14 +173,13 @@ def test_shm_survives_chaos_kill_without_leaking():
     assert not any(_attachable(name) for name in names)
 
 
-def test_queue_fallback_when_shm_disabled():
+def test_queue_fallback_when_shm_disabled(no_shm):
     batch = [("facts", "colour(C)"), ("nrev", "run(8, R)")]
     with QueryService(PROGRAMS, workers=0) as reference:
         expected = reference.run_many(batch)
-    with QueryService(PROGRAMS, workers=1,
-                      use_shared_memory=False) as service:
-        assert not service._use_shm
+    with QueryService(PROGRAMS, workers=1) as service:
         results = service.run_many(batch)
+        assert not service._use_shm   # the refused segment flipped it
         assert service._segments == {}
         assert service._payloads    # the queue path pickles parent-side
     for want, got in zip(expected, results):
@@ -222,12 +235,12 @@ def test_batch_max_validated():
 
 @pytest.mark.parametrize("batch_max,use_shm", [(1, True), (8, True),
                                                (8, False)])
-def test_chaos_invariant_across_protocol_configs(batch_max, use_shm):
+def test_chaos_invariant_across_protocol_configs(batch_max, use_shm,
+                                                request):
     """Micro-batched, singleton and queue-fallback protocols all
     return bit-identical results under chaos kills: the per-query
     semantics (retry, resume, accounting) survive coalescing."""
-    if use_shm and not _shm_available():
-        pytest.skip("no shared memory on this platform")
+    _shm_or_queue(use_shm, request)
     from repro.bench.programs import SUITE
     corpus = ["con1", "nrev1", "times10", "log10"]
     programs = {name: SUITE[name].source_pure for name in corpus}
@@ -236,7 +249,7 @@ def test_chaos_invariant_across_protocol_configs(batch_max, use_shm):
                         max_kills_per_slot=1)
     report = verify_chaos_invariant(
         programs, batch, chaos, workers=2, checkpoint_every=5_000,
-        batch_max=batch_max, use_shared_memory=use_shm)
+        batch_max=batch_max)
     assert report["ok"], report["mismatches"]
 
 

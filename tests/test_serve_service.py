@@ -184,7 +184,7 @@ def test_delivered_result_beats_expired_deadline():
                   "recovery": False, "checkpoint_every": None},
             timeout_s=30.0, results=results, policy=None, chaos=None,
             batch_deadline=None, runnable=deque(), idle=deque())
-        service._dispatch(0, 0, state)
+        service._dispatch_chunk([0], 0, state)
         # Wait for the worker's answer to be *delivered* (sitting in
         # the result pipe, not yet collected).
         patience = time.monotonic() + 15.0
@@ -202,3 +202,70 @@ def test_delivered_result_beats_expired_deadline():
         assert results[0] is not None
         assert results[0].ok, results[0].error
         assert service.health().timeouts == 0
+
+
+# -- one execution path ------------------------------------------------------
+
+def _observed(result):
+    """Everything a caller can see of one slot, minus host timings."""
+    error = result.error
+    return (result.ok, error and error.kind, error and error.transient,
+            result.solutions, result.stats, result.output, result.paused)
+
+
+def test_in_process_worker_and_collapsed_paths_agree():
+    """``workers=0``, a worker process and a collapsed pool's
+    in-process fallback all run tasks through one execute function:
+    per-slot answers, errors and RunStats agree, and so do the
+    completed/failed counters."""
+    from repro.serve import ChaosPolicy, RetryPolicy, SupervisorPolicy
+
+    programs = dict(PROGRAMS, div="div(X, Y, Z) :- Z is X / Y.")
+    services = [
+        QueryService(programs, workers=0),
+        QueryService(programs, workers=1),
+        QueryService(programs, workers=1,
+                     supervisor=SupervisorPolicy(max_respawns=0)),
+    ]
+    try:
+        collapsed = services[2]
+        collapsed.run_many(
+            [("nrev", f"nrev({list(range(30))}, R)")],
+            chaos=ChaosPolicy(seed=7, kill_rate=1.0,
+                              kill_window=(500, 2_000),
+                              max_kills_per_slot=10),
+            retry=RetryPolicy(max_attempts=4, base_delay_s=0.01))
+        assert collapsed.health().degraded
+        seen = []
+        for service in services:
+            calls = []
+
+            def call(method, batch):
+                before = service.health()
+                results = method(batch)
+                after = service.health()
+                calls.append(([_observed(result) for result in results],
+                              after.completed - before.completed,
+                              after.failed - before.failed))
+                return results
+
+            call(service.run_many, [("facts", "colour(C)"),
+                                    ("div", "div(1, 0, Z)")])
+            opened = call(service.run_steps,
+                          [("facts", "colour(C)", None)])
+            call(service.run_steps, [
+                ("facts", "colour(C)", opened[0].session_payload),
+                ("facts", "colour(C)", b"garbage-not-a-pickle"),
+                ("facts", "colour(C)", None)])
+            seen.append(calls)
+    finally:
+        for service in services:
+            service.close()
+    assert seen[0] == seen[1] == seen[2]
+    batch, opened, stepped = seen[0]
+    assert batch[0][1][:2] == (False, "ArithmeticError_")
+    assert batch[0][1][4] is not None       # partial stats travel too
+    assert opened[0][0][6]                  # paused at the first answer
+    assert [slot[1] for slot in stepped[0]] == [
+        None, "UnpicklingError", None]
+    assert (stepped[1], stepped[2]) == (2, 1)

@@ -1,8 +1,8 @@
-"""Fault-tolerant session engines (ISSUE 10): first-class engines
-stream bit-identically with pause/pickle/resume, the engine store
-hibernates under a byte budget with verified wakes, and the session
-service survives chaos kills and lease expiries with exactly-once
-accounting."""
+"""Fault-tolerant session engines: a ``run_steps`` resume token is
+the engine, and it streams bit-identically across pickling, processes
+and hibernation; the engine store hibernates under a byte budget with
+verified wakes; and the session service survives chaos kills, lease
+expiries and corrupt spills with exactly-once accounting."""
 
 import pickle
 
@@ -10,12 +10,12 @@ import pytest
 
 from repro.bench.programs import SUITE
 from repro.serve import (
-    ChaosPolicy, Engine, EngineSnapshot, EngineStore, EngineStoreCorrupt,
-    LeasePolicy, QueryService, RetryPolicy, SessionError, SessionExpired,
+    ChaosPolicy, EngineStore, EngineStoreCorrupt, LeasePolicy,
+    QueryService, RetryPolicy, SessionError, SessionExpired,
     SessionLoadSpec, SessionReaper, SessionService, UnknownSession,
     run_session_soak, verify_session_chaos_invariant,
 )
-from repro.serve.session import DONE, EXPIRED, SOLUTION
+from repro.serve.session import DONE, EXPIRED, FAILED, SOLUTION
 
 NAMES = ["queens", "mutest", "con1", "nrev1", "divide10", "query"]
 PROGRAMS = {name: SUITE[name].source_pure for name in NAMES}
@@ -33,95 +33,79 @@ def _ref(reference, name):
     return reference[NAMES.index(name)]
 
 
-def _drain(engine):
-    solutions = []
-    while True:
-        solution = engine.next_solution()
-        if solution is None:
-            return solutions
-        solutions.append(solution)
+def _stream(service, name, payload=None, steps=None):
+    """Step ``name``'s query through ``service.run_steps`` from
+    ``payload`` (``None``: open the stream) until ``steps`` solutions
+    have arrived or the search finishes.  Returns the solutions in the
+    order they arrived, counted from the start of the stream (a token
+    carries the ones found before it), and the last step's result."""
+    query = SUITE[name].query_pure
+    solutions, result = [], None
+    while steps is None or len(solutions) < steps:
+        result = service.run_steps([(name, query, payload)])[0]
+        assert result.ok, result.error
+        solutions.extend(result.solutions[len(solutions):])
+        if not result.paused:
+            break
+        payload = result.session_payload
+    return solutions, result
 
 
-# -- Engine: streamed solutions, pause, resume -------------------------------
+# -- the engine: a run_steps resume token ------------------------------------
 
 class TestEngine:
     def test_streams_bit_identically(self, reference):
         expected = _ref(reference, "queens")
-        engine = Engine(PROGRAMS["queens"], SUITE["queens"].query_pure)
-        streamed = []
-        while True:
-            solution = engine.next_solution()
-            if solution is None:
-                break
-            streamed.append(solution)
+        with QueryService(PROGRAMS, workers=0) as service:
+            streamed, final = _stream(service, "queens")
         assert streamed == expected.solutions
-        assert engine.solutions == expected.solutions
-        assert engine.stats == expected.stats
-        assert engine.exhausted
-        # Exhausted engines keep answering None without re-running.
-        assert engine.next_solution() is None
-        assert engine.stats == expected.stats
+        assert final.solutions == expected.solutions
+        assert final.stats == expected.stats
+        assert final.session_payload is None
 
     def test_pause_pickle_resume_mid_stream(self, reference):
+        """A token taken mid-stream in-process finishes on a worker
+        process, bit-identically."""
         expected = _ref(reference, "queens")
-        engine = Engine(PROGRAMS["queens"], SUITE["queens"].query_pure)
-        first = [engine.next_solution(), engine.next_solution()]
-        payload = engine.pause().to_bytes()
-        resumed = Engine.resume(
-            EngineSnapshot.from_bytes(pickle.loads(pickle.dumps(payload))))
-        rest = []
-        while True:
-            solution = resumed.next_solution()
-            if solution is None:
-                break
-            rest.append(solution)
-        assert first + rest == expected.solutions
-        assert resumed.stats == expected.stats
-        assert resumed.streamed == len(expected.solutions)
-
-    def test_pause_before_start_resumes_full_stream(self, reference):
-        expected = _ref(reference, "mutest")
-        engine = Engine(PROGRAMS["mutest"], SUITE["mutest"].query_pure)
-        snapshot = engine.pause()
-        assert not snapshot.started
-        resumed = Engine.resume(snapshot)
-        streamed = []
-        while True:
-            solution = resumed.next_solution()
-            if solution is None:
-                break
-            streamed.append(solution)
-        assert streamed == expected.solutions
-        assert resumed.stats == expected.stats
+        with QueryService(PROGRAMS, workers=0) as service:
+            first, paused = _stream(service, "queens", steps=2)
+        assert paused.paused and len(first) == 2
+        payload = pickle.loads(pickle.dumps(paused.session_payload))
+        with QueryService(PROGRAMS, workers=1) as service:
+            rest, final = _stream(service, "queens", payload)
+        assert first + rest[2:] == expected.solutions
+        assert final.solutions == expected.solutions
+        assert final.stats == expected.stats
 
     def test_sliced_mode_checkpoints_and_stays_identical(self, reference):
         expected = _ref(reference, "queens")
-        checkpoints = []
-        engine = Engine(PROGRAMS["queens"], SUITE["queens"].query_pure,
-                        checkpoint_every=5_000,
-                        on_checkpoint=checkpoints.append)
-        first = [engine.next_solution(), engine.next_solution()]
-        snapshot = engine.pause()
-        resumed = Engine.resume(snapshot, checkpoint_every=5_000)
-        rest = []
-        while True:
-            solution = resumed.next_solution()
-            if solution is None:
-                break
-            rest.append(solution)
-        assert first + rest == expected.solutions
-        assert resumed.stats == expected.stats
-        assert checkpoints, "the cycle grid never fired"
+        with QueryService(PROGRAMS, workers=1,
+                          checkpoint_every=5_000) as service:
+            streamed, final = _stream(service, "queens")
+            health = service.health()
+        assert streamed == expected.solutions
+        assert final.stats == expected.stats
+        assert health.checkpoints_received, "the cycle grid never fired"
 
-    def test_snapshot_key_mismatch_rejected(self):
-        engine = Engine(PROGRAMS["con1"], SUITE["con1"].query_pure)
-        snapshot = engine.pause()
-        with pytest.raises(ValueError, match="does not match"):
-            Engine.resume(EngineSnapshot(
-                key="bogus", program=snapshot.program,
-                query=snapshot.query, io_mode=snapshot.io_mode,
-                checkpoint=snapshot.checkpoint,
-                streamed=snapshot.streamed, started=snapshot.started))
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_corrupt_payload_fails_its_step_only(workers, reference):
+    """A token that does not unpickle fails its own step with a
+    per-slot error, and the steps after it still run (in-process, the
+    UnpicklingError used to escape the whole call)."""
+    queens = ("queens", SUITE["queens"].query_pure, None)
+    with QueryService(PROGRAMS, workers=workers) as service:
+        results = service.run_steps([
+            queens,
+            ("con1", SUITE["con1"].query_pure, b"garbage-not-a-pickle"),
+            queens])
+        health = service.health()
+    assert not results[1].ok
+    assert results[1].error.kind == "UnpicklingError"
+    for result in (results[0], results[2]):
+        assert result.ok and result.paused
+        assert result.solutions == _ref(reference, "queens").solutions[:1]
+    assert (health.completed, health.failed) == (2, 1)
 
 
 # -- EngineStore: hibernation ------------------------------------------------
@@ -165,16 +149,18 @@ class TestEngineStore:
             store.put("c", b"z")
 
     def test_round_trips_a_real_engine(self, reference):
-        expected = _ref(reference, "con1")
-        engine = Engine(PROGRAMS["con1"], SUITE["con1"].query_pure)
-        with EngineStore(budget_bytes=1) as store:
-            store.put("s1", engine.pause().to_bytes())
-            store.put("s2", b"0" * 32)     # forces "s1" to hibernate
-            assert store.hibernated_count >= 1
-            woken = Engine.resume(
-                EngineSnapshot.from_bytes(store.get("s1")))
-        assert _drain(woken) == expected.solutions
-        assert woken.stats == expected.stats
+        expected = _ref(reference, "queens")
+        with QueryService(PROGRAMS, workers=0) as service:
+            first, paused = _stream(service, "queens", steps=1)
+            with EngineStore(budget_bytes=1) as store:
+                store.put("s1", paused.session_payload)
+                store.put("s2", b"0" * 32)     # forces "s1" to hibernate
+                assert store.hibernated_count >= 1
+                woken = store.get("s1")
+                assert store.wakes == 1
+            rest, final = _stream(service, "queens", woken)
+        assert first + rest[1:] == expected.solutions
+        assert final.stats == expected.stats
 
 
 # -- SessionService: streaming, leases, migration ----------------------------
@@ -289,6 +275,34 @@ class TestSessionService:
                 assert streams[sid] == expected.solutions
                 assert finals[sid].stats == expected.stats
             assert len(store) == 0
+
+    def test_corrupt_hibernated_session_fails_alone(self, reference):
+        """A spilled token that fails verification on wake fails only
+        its own session, which is counted and removed; the other
+        session in the round still advances."""
+        expected = _ref(reference, "queens")
+        query = SUITE["queens"].query_pure
+        store = EngineStore(budget_bytes=1)
+        with SessionService(PROGRAMS, workers=0, store=store) as service:
+            a, b = service.open("queens", query), service.open("queens", query)
+            service.advance([a, b])        # b's token pushes a's to disk
+            with open(store._hibernated[a][0], "wb") as handle:
+                handle.write(b"garbage")
+            failed, stepped = service.advance([a, b])
+            assert failed.status == FAILED
+            assert failed.error.kind == "EngineStoreCorrupt"
+            assert stepped.status == SOLUTION
+            assert stepped.solution == expected.solutions[1]
+            assert service.active_sessions == 1
+            with pytest.raises(UnknownSession):
+                service.advance([a])
+            final = service.drain(b)
+            counters = service.counters
+        assert final.status == DONE and final.stats == expected.stats
+        assert counters["sessions_failed"] == 1
+        assert counters["sessions_opened"] == (
+            counters["sessions_done"] + counters["sessions_failed"]
+            + counters["sessions_closed"] + counters["leases_expired"])
 
     def test_worker_crash_migration_is_bit_identical(self, reference):
         """The tentpole gate in miniature: every step's first attempt
