@@ -1,16 +1,16 @@
 """Opcode-sequence profiler: selects the superinstruction fusion table.
 
-Runs the PLM bench corpus under an instruction tracer (which forces the
-seed per-instruction loop, so the profile sees the exact executed
-instruction stream), segments the stream into straight-line runs — a
-run breaks at every control transfer, i.e. wherever the executed
-successor differs from the fall-through, and after every
-:data:`~repro.core.predecode.BLOCK_ENDERS` opcode, mirroring how the
-predecoder delimits basic blocks — and counts executions per opcode
-sequence.  Sequences are ranked by ``count * max(1, len - 1)``: the
-number of handler dispatches fusing that sequence would eliminate
-(single-opcode runs still save the outer-loop iteration, counted as
-one dispatch).
+Runs the PLM bench corpus under an instruction tracer (which turns
+superop fusion off, so the run loop executes one instruction per step
+and the profile sees the exact executed instruction stream), segments
+the stream into straight-line runs — a run breaks at every control
+transfer, i.e. wherever the executed successor differs from the
+fall-through, and after every :data:`~repro.core.predecode.BLOCK_ENDERS`
+opcode, mirroring how the predecoder delimits basic blocks — and
+counts executions per opcode sequence.  Sequences are ranked by
+``count * max(1, len - 1)``: the number of handler dispatches fusing
+that sequence would eliminate (single-opcode runs still save the
+outer-loop iteration, counted as one dispatch).
 
 The selection is written as the generated module
 :mod:`repro.core.superops_table`, committed so builds are reproducible
@@ -95,7 +95,7 @@ def profile_corpus(programs: Optional[Sequence[str]] = None,
                                                            fast_path=True))
     for name in names:
         machine = runner.load(name, variant)
-        machine.tracer = profiler     # forces the per-instruction loop
+        machine.tracer = profiler     # no fusion: one step each
         try:
             runner.run(name, variant, warm=False)
         finally:

@@ -115,9 +115,11 @@ class Machine:
         self.memory = memory
         self.stagger_stacks = stagger_stacks
         self.max_cycles = max_cycles
-        #: use the predecoded threaded-dispatch loop (docs/PERF.md).
-        #: ``False`` is the ablation: the seed per-instruction
-        #: interpreter, bit-identical in every simulated statistic.
+        #: run from the predecoded table with superops and the fused
+        #: data and control paths (docs/PERF.md).  ``False`` is the
+        #: ablation: the same loop decodes ``code`` per instruction and
+        #: takes the layered methods, bit-identical in every simulated
+        #: statistic.
         self.fast_path = fast_path
 
         # Code space: word-addressed list of Instruction (None for the
@@ -190,8 +192,9 @@ class Machine:
         self._retry_pc = -1
         self._retry_kind = ""
         self._retry_count = 0
-        #: per-instruction write-undo log, active only inside
-        #: _loop_recovering (None ⇒ _write does no extra work).
+        #: per-instruction write-undo log, armed by _loop only while
+        #: the trap vector is armed or an injector is attached (None ⇒
+        #: _write does no extra work).
         self._undo_log: Optional[List[tuple]] = None
         self._reset_state()
 
@@ -765,9 +768,9 @@ class Machine:
             # loop (per-word fallback keeps access order and counters
             # exact).  The undo-log/dirty-tracking/protection guards
             # hoist out of the loop: no handler can run between the
-            # writes of one instruction on the fast loop, and the
-            # recovering loop always has the undo log armed, which
-            # routes every word through the generic accessor.
+            # writes of one instruction without recovery, and a run with
+            # recovery always has the undo log armed, which routes every
+            # word through the generic accessor.
             words = [mki(arity), mdp(b, CONTROL), mcp(machine.cp),
                      mdp(machine.e, LOCAL), mdp(h, GLOBAL),
                      mdp(tr, TRAIL), mdp(machine.b0, CONTROL),
@@ -1073,16 +1076,17 @@ class Machine:
             self.max_cycles = budget
 
     def _execute(self) -> RunStats:
-        """Run the main loop until halt/exhaustion, finalizing stats and
+        """Run :meth:`_loop` until halt/exhaustion, finalizing stats and
         annotating escaping errors no matter how the loop exits."""
         stats = self.stats
         # A fresh (re)entry consumes any pending stop-at-solution pause;
         # the '$answer' escape re-raises it at the next solution.
         self.solution_paused = False
-        # Under fast_path, shadow _read/_write with the memory system's
-        # fused single-frame closures for the duration of this run —
-        # same observables (docs/PERF.md), so the ablation keeps the
-        # seed layered path.  Installed here rather than in __init__
+        # Under fast_path, traced and recovering runs included, shadow
+        # _read/_write and the hot control-path methods with fused
+        # single-frame closures for the duration of this run — same
+        # observables (docs/PERF.md), so the ablation keeps the seed
+        # layered path.  Installed here rather than in __init__
         # because the closures capture this run's RunStats; the finally
         # below uninstalls them so accesses between runs (bootstrap
         # frame setup, tests poking _read directly) take the layered
@@ -1101,20 +1105,15 @@ class Machine:
             trail._read = self._read
             trail._write = self._write
         try:
-            if self.trap_vector.armed or self.injector is not None:
-                self._loop_recovering()
-            elif self.fast_path and self.tracer is None:
-                self._loop_predecoded()
-            else:
-                self._loop_fast()
+            self._loop()
         except MachineError as err:
             err.stats = stats
             err.pc = self.p
             if isinstance(err, MachineTrap) and err.report is None:
-                # Fast-loop (unarmed) traps skip _service_trap; give
-                # them the same audit trail on the way out.  The ring
-                # buffer holds the faulting instruction's address (self.p
-                # has already advanced past it).
+                # Traps of runs without recovery skip _service_trap;
+                # give them the same audit trail on the way out.  The
+                # ring buffer holds the faulting instruction's address
+                # (self.p has already advanced past it).
                 pc = self._recent_pcs[(self._recent_index - 1)
                                       & _RECENT_MASK] \
                     if self._recent_index else self.p
@@ -1194,221 +1193,121 @@ class Machine:
             self._predecoded = table
         return table
 
-    def _loop_predecoded(self) -> None:
-        """The predecoded threaded-dispatch hot loop (docs/PERF.md).
+    def _loop(self) -> None:
+        """The run loop: every instruction is one step, in the seed
+        order — recent-PC ring write, ``P`` to the fall-through,
+        ``cycles += cost + code fetch``, instruction and inference
+        counters, tracer hook, handler, cycle-budget check.
 
-        Executes basic blocks of bound step tuples: the block's static
-        cycles / instruction count / inference count are charged once
-        at block entry and the unexecuted suffix is uncharged when a
-        step transfers control early (failure, builtin redirect, trap),
-        so every simulated statistic is bit-identical to
-        :meth:`_loop_fast`.  The watchdog check runs once per block:
-        :class:`CycleLimitExceeded` may therefore surface up to one
-        block later than under the seed loop, but always at an
-        instruction boundary with exact accounting (``resume`` works
-        unchanged).  Code-fetch timing still runs per instruction —
-        the code cache is stateful — with the hit path inlined and its
-        two counters batched locally, flushed on every exit path.
+        On the fast path the step comes predecoded from
+        :attr:`PredecodedCode.singles` and the code-cache hit probe is
+        inlined (a hit touches only the two read counters, batched
+        here and flushed on every exit).  With ``fast_path=False``, the
+        ablation, it is decoded from ``self.code`` and every fetch goes
+        through :meth:`MemorySystem.code_fetch`, so the ablation builds
+        no predecode table.
 
-        Blocks the profile marked hot carry a superinstruction closure
-        (``entry[4]``, built by repro.core.superops): the whole run
-        executes as one call with identical observables — the closure
-        performs the same per-instruction ring writes, code-fetch
-        probes and deviation uncharges this loop would.
+        Fusion applies on the fast path while nothing observes or
+        recovers single instructions: no tracer, no armed trap vector,
+        no injector.  A table entry carrying a superop closure
+        (repro.core.superops) is then charged its block sums and run
+        as one call; the closure maintains P, the ring, fetch timing
+        and the uncharge of its unexecuted suffix itself.  The budget
+        is checked after the closure, so a fused block may overshoot
+        ``max_cycles`` by up to one closure; the stop is still at an
+        instruction boundary and ``resume`` continues exactly.
+
+        With a trap vector armed or an injector attached, each step
+        first takes a register snapshot, arms the write-undo log and
+        calls the injector; a :class:`MachineTrap` goes to
+        :meth:`_service_trap`, and a recovered instruction is replayed
+        with ``replay=True`` on the tracer hook, so monitors can
+        collapse the aborted attempt and its replay into one event.
         """
-        entries = self._ensure_predecoded().entries
         memory = self.memory
         stats = self.stats
         recent = self._recent_pcs
         max_cycles = self.max_cycles
-        timing = memory.timing_enabled
+        tracer = self.tracer
+        injector = self.injector
+        recovering = self.trap_vector.armed or injector is not None
         code_fetch = memory.code_fetch
         line_tags, index_mask, tag_shift = memory.code_probe_state()
         cache_stats = memory.code_cache.stats
+        entries = singles = None
+        probe = False
+        if self.fast_path:
+            table = self._ensure_predecoded()
+            singles = table.singles
+            if tracer is None and not recovering:
+                entries = table.entries
+            probe = memory.timing_enabled
+        else:
+            code = self.code
+            dispatch = self._dispatch
+            instruction_cost = self.costs.instruction_cost
+        undo: list = []
+        snapshot = None
+        replay = False
         hits = 0
         try:
             while self.running:
                 p = self.p
-                entry = entries[p]
-                if entry is None:
+                if entries is not None:
+                    entry = entries[p]
+                    if entry is not None and entry[4] is not None:
+                        self.cycles += entry[1]
+                        stats.instructions += entry[2]
+                        stats.inferences += entry[3]
+                        entry[4]()
+                        if self.cycles > max_cycles:
+                            raise self._cycle_limit_error(max_cycles)
+                        continue
+                if singles is not None:
+                    step = singles[p]
+                else:
+                    instr = code[p]
+                    step = None if instr is None else (
+                        dispatch[instr.op], instruction_cost(instr.op),
+                        1 if instr.infer else 0, p + instr.size, instr)
+                if step is None:
                     raise InstructionError(
                         f"execution fell into the middle of "
                         f"a multi-word instruction at {p}")
-                steps, block_cost, block_instr, block_infer, fused = entry
-                self.cycles += block_cost
-                stats.instructions += block_instr
-                stats.inferences += block_infer
-                if fused is not None:
-                    # Superinstruction: the whole run executes inside
-                    # one generated closure (repro.core.superops) that
-                    # maintains P, the recent-PC ring, code-fetch
-                    # timing and the deviation uncharges itself.
-                    fused()
-                    if self.cycles > max_cycles:
-                        raise self._cycle_limit_error(max_cycles)
-                    continue
-                i = 0
-                n = len(steps)
-                idx = self._recent_index
+                handler, cost, infer, next_p, instr = step
                 try:
-                    while True:
-                        step = steps[i]
-                        handler, _, _, next_p, instr = step
-                        recent[idx & _RECENT_MASK] = p
-                        idx += 1
-                        if timing:
-                            if line_tags[p & index_mask] \
-                                    == p >> tag_shift:
-                                hits += 1
-                            else:
-                                try:
-                                    self.cycles += code_fetch(p)
-                                except MachineError:
-                                    # Seed ordering: a code-fetch trap
-                                    # happens before the instruction is
-                                    # charged or counted, so take back
-                                    # this step's share too (the outer
-                                    # handler takes back the suffix).
-                                    self.cycles -= step[1]
-                                    stats.instructions -= 1
-                                    stats.inferences -= step[2]
-                                    raise
-                        self.p = next_p
-                        handler(instr)
-                        i += 1
-                        if i == n:
-                            break
-                        if self.p != next_p or not self.running:
-                            # Early transfer out of the block: the
-                            # suffix sums are the table entry at the
-                            # fall-through address.
-                            _, cost, n_instr, n_infer, _ = entries[next_p]
-                            self.cycles -= cost
-                            stats.instructions -= n_instr
-                            stats.inferences -= n_infer
-                            break
-                        p = next_p
-                except MachineError:
-                    # The faulting step at index ``i`` was charged and
-                    # counted before dispatch, exactly as in the seed
-                    # loop; uncharge only the unexecuted suffix.
-                    self._recent_index = idx  # error reads the ring
-                    if i + 1 < n:
-                        _, cost, n_instr, n_infer, _ = entries[next_p]
-                        self.cycles -= cost
-                        stats.instructions -= n_instr
-                        stats.inferences -= n_infer
-                    raise
-                self._recent_index = idx
+                    if recovering:
+                        snapshot = self._replay_snapshot(p)
+                        del undo[:]
+                        self._undo_log = undo
+                        if injector is not None:
+                            injector.before_instruction(self)
+                    recent[self._recent_index & _RECENT_MASK] = p
+                    self._recent_index += 1
+                    self.p = next_p
+                    if probe and line_tags[p & index_mask] == p >> tag_shift:
+                        hits += 1
+                        self.cycles += cost
+                    else:
+                        self.cycles += cost + code_fetch(p)
+                    stats.instructions += 1
+                    stats.inferences += infer
+                    if tracer is not None:
+                        tracer.on_instruction(self, p, instr, replay=replay)
+                    handler(instr)
+                except MachineTrap as trap:
+                    if not recovering \
+                            or not self._service_trap(trap, p, snapshot):
+                        raise
+                    replay = True
+                    continue
+                replay = False
                 if self.cycles > max_cycles:
                     raise self._cycle_limit_error(max_cycles)
         finally:
             if hits:
                 cache_stats.reads += hits
                 cache_stats.read_hits += hits
-
-    def _loop_fast(self) -> None:
-        """The seed hot loop: any trap aborts the run."""
-        dispatch = self._dispatch
-        code = self.code
-        costs = self.costs
-        memory = self.memory
-        stats = self.stats
-        max_cycles = self.max_cycles
-        recent = self._recent_pcs
-        while self.running:
-            p = self.p
-            instr = code[p]
-            if instr is None:
-                raise InstructionError(f"execution fell into the middle of "
-                                       f"a multi-word instruction at {p}")
-            op = instr.op
-            recent[self._recent_index & _RECENT_MASK] = p
-            self._recent_index += 1
-            self.p = p + instr.size
-            self.cycles += costs.instruction_cost(op) \
-                + memory.code_fetch(p)
-            stats.instructions += 1
-            if instr.infer:
-                stats.inferences += 1
-            if self.tracer is not None:
-                self.tracer.on_instruction(self, p, instr)
-            dispatch[op](instr)
-            if self.cycles > max_cycles:
-                raise self._cycle_limit_error(max_cycles)
-
-    def _loop_recovering(self) -> None:
-        """The trap-vector loop: traps at instruction boundaries are
-        delivered to registered handlers, and the faulting instruction
-        is restarted after a successful recovery.
-
-        Identical simulated-cycle accounting to :meth:`_loop_fast` on
-        the fault-free path; the extra per-instruction work (a register
-        snapshot for precise restart) is host-side only.  When
-        ``fast_path`` is on, dispatch and static costs come from the
-        predecoded step table — the per-instruction snapshot, injector
-        and tracer hooks are kept, so only host work changes.
-
-        Trapped instructions are re-executed after recovery: the retry
-        runs with ``replay=True`` on the tracer hook so monitors can
-        collapse the aborted attempt and its replay into one event.
-        """
-        dispatch = self._dispatch
-        code = self.code
-        costs = self.costs
-        memory = self.memory
-        stats = self.stats
-        recent = self._recent_pcs
-        injector = self.injector
-        singles = self._ensure_predecoded().singles if self.fast_path \
-            else None
-        undo: list = []
-        replay = False
-        while self.running:
-            p = self.p
-            if singles is not None:
-                step = singles[p]
-                if step is None:
-                    raise InstructionError(
-                        f"execution fell into the middle of "
-                        f"a multi-word instruction at {p}")
-                handler, cost, infer, next_p, instr = step
-            else:
-                instr = code[p]
-                if instr is None:
-                    raise InstructionError(
-                        f"execution fell into the middle of "
-                        f"a multi-word instruction at {p}")
-                op = instr.op
-                handler = dispatch[op]
-                cost = costs.instruction_cost(op)
-                infer = 1 if instr.infer else 0
-                next_p = p + instr.size
-            snapshot = self._replay_snapshot(p)
-            del undo[:]
-            self._undo_log = undo
-            try:
-                if injector is not None:
-                    injector.before_instruction(self)
-                recent[self._recent_index & _RECENT_MASK] = p
-                self._recent_index += 1
-                self.p = next_p
-                self.cycles += cost + memory.code_fetch(p)
-                stats.instructions += 1
-                if infer:
-                    stats.inferences += 1
-                if self.tracer is not None:
-                    self.tracer.on_instruction(self, p, instr,
-                                               replay=replay)
-                handler(instr)
-            except MachineTrap as trap:
-                if not self._service_trap(trap, p, snapshot):
-                    raise
-                replay = True
-                continue
-            replay = False
-            if self.cycles > self.max_cycles:
-                raise self._cycle_limit_error(self.max_cycles)
 
     # ------------------------------------------------------------------
     # trap delivery and recovery

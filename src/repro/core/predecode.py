@@ -17,24 +17,21 @@ step tuples*::
 where ``handler`` is the machine's already-bound ``_op_*`` method,
 ``static_cost`` the precomputed ``CostModel.instruction_cost`` for the
 opcode, ``infer`` 0/1 for the inference counter, and ``next_p`` the
-fall-through address.  Steps are grouped into *basic blocks*: for every
-code address the table holds the straight-line run of steps from that
-address to the next block-ending instruction, together with the block's
-summed static cost / instruction count / inference count.  The hot loop
-(:meth:`Machine._loop_predecoded`) charges those sums once per block
-and "uncharges" the unexecuted suffix — whose sums are exactly the
-table entry of the fall-through address — when a mid-block failure or
-trap transfers control early.  Simulated cycle accounting is therefore
-bit-identical to the seed loop; only host work changes.
+fall-through address.  :attr:`PredecodedCode.singles` holds one step
+per instruction start; the run loop (:meth:`Machine._loop`) executes
+them one at a time in the seed order, so simulated cycle accounting is
+bit-identical to the seed interpreter; only host work changes.
 
-On top of the block views sits the superinstruction layer
-(:mod:`repro.core.superops`): when a fuser is supplied, blocks whose
-opcode runs the profile marked hot are compiled into single closures
-and their entries carry that closure in the ``fused`` slot (with the
-same sums, so mid-block uncharges that land on a fused fall-through
-address still read correct suffix totals).  The per-address plain
-steps survive in :attr:`PredecodedCode.singles` for the recovering
-loop, which always executes one instruction at a time.
+Steps are also grouped into *basic blocks*: for every code address the
+table holds the straight-line run of steps from that address to the
+next block-ending instruction, together with the block's summed static
+cost / instruction count / inference count.  Blocks are the unit of
+the superinstruction layer (:mod:`repro.core.superops`): when a fuser
+is supplied, blocks whose opcode runs the profile marked hot are
+compiled into single closures and their entries carry that closure in
+the ``fused`` slot.  The run loop charges a fused entry's sums once and
+calls the closure, which "uncharges" its unexecuted suffix when a
+mid-block failure or trap transfers control early.
 
 The table is a pure cache over ``machine.code``: anything that writes
 the code zone (the linker's :meth:`LinkedImage.install`, the
@@ -55,7 +52,7 @@ from repro.core.opcodes import Op
 #: unconditional control transfer, plus ESCAPE because builtins may
 #: redirect P (call/1) or stop the machine ('$answer', halt/0) without
 #: touching P.  Conditional transfers — unification failure, TEST,
-#: arithmetic faults — need no entry here: the block loop detects any
+#: arithmetic faults — need no entry here: a fused closure detects any
 #: deviation of P (or of ``running``) after each step and settles the
 #: accounts then.
 BLOCK_ENDERS = frozenset({
@@ -117,14 +114,14 @@ def predecode(code: list, dispatch: Dict[Op, Callable],
     table); ``static_costs`` maps opcodes to their fixed per-execution
     cycle charge (:meth:`CostModel.static_cost_table`).  ``fuser``, when
     given, is a :class:`repro.core.superops.SuperopFuser` consulted per
-    block entry; blocks it fuses execute as one closure on the fast
-    loop.  ``generation`` stamps the table with the machine's code-zone
-    generation for the :meth:`PredecodedCode.valid_for` check.
+    block entry; blocks it fuses execute as one closure whenever the
+    run loop applies fusion.  ``generation`` stamps the table with the
+    machine's code-zone generation for the
+    :meth:`PredecodedCode.valid_for` check.
 
     Entries are built right to left so each address's block view shares
-    the step tuples (not the tuples-of-steps) of its suffix addresses:
-    the suffix sums needed for mid-block uncharging are then simply the
-    table entry at the fall-through address.
+    the step tuples (not the tuples-of-steps) of its suffix addresses,
+    and its sums are the step's own plus the fall-through entry's.
     """
     n = len(code)
     steps: List[Optional[Step]] = [None] * n

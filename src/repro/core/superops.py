@@ -21,24 +21,25 @@ single generated host functions:
 
 Correctness contract (the reason this is safe to switch on by
 default): a fused block produces *bit-identical* simulated statistics
-and solutions to the per-step loop, which in turn is bit-identical to
-the ``fast_path=False`` seed interpreter.  Concretely:
+and solutions to running its instructions one step at a time, which in
+turn is bit-identical to the ``fast_path=False`` seed interpreter.
+Concretely:
 
-- The outer loop still charges the block's summed static cycles,
-  instruction count and inference count at block entry.  On any
-  mid-run deviation — unification failure, builtin P redirect,
-  ``running`` cleared, machine trap — the closure uncharges exactly
-  the unexecuted suffix, using the same sums the per-step loop would
-  have read from the fall-through table entry.
+- The run loop charges the block's summed static cycles, instruction
+  count and inference count at block entry.  On any mid-run
+  deviation — unification failure, builtin P redirect, ``running``
+  cleared, machine trap — the closure uncharges exactly the
+  unexecuted suffix, whose sums are baked into it, so the totals are
+  what the executed instructions charge one step at a time.
 - Code-fetch timing still runs per instruction against the stateful
   code cache, with the hit path inlined (tag probe against baked
   constants) and hit counters batched and flushed on every exit path.
 - ``m.p`` is maintained exactly as the seed loop does (set to the
   fall-through before each instruction executes), so trap reports,
   ``err.pc``, the recent-PC ring and ``resume()`` see identical state.
-- Fused execution is only ever entered from
-  :meth:`Machine._loop_predecoded`; the recovering loop (armed traps,
-  fault injection) and any traced run execute per instruction.
+- Fused execution is only ever entered from :meth:`Machine._loop`,
+  and never while a tracer is attached, the trap vector is armed or a
+  fault injector is attached: those runs execute per instruction.
 
 Host-side only: no simulated observable depends on whether a block was
 fused.  ``Features.superops=False`` ablates the layer independently of
@@ -372,7 +373,7 @@ class SuperopFuser:
             return None
         if len(steps) == 1 and ops[0] not in self._emitters:
             # A call-tier closure for one instruction saves nothing
-            # over the per-step loop.
+            # over the run loop's own step.
             return None
         source, env = self._generate(address, steps)
         key = (address, source)
@@ -394,10 +395,10 @@ class SuperopFuser:
     def _generate(self, address: int, steps: Tuple) -> Tuple[str, Dict]:
         count = len(steps)
         # Suffix sums: suf[u] = (cycles, instructions, inferences) of
-        # instructions u..count-1 — what the per-step loop would read
-        # from the fall-through table entry when instruction u-1
-        # deviates.  suf[count] is all-zero (deviation in the last
-        # instruction has nothing to uncharge).
+        # instructions u..count-1 — the share of the block charge to
+        # take back when instruction u-1 deviates.  suf[count] is
+        # all-zero (deviation in the last instruction has nothing to
+        # uncharge).
         suf = [(0, 0, 0)] * (count + 1)
         for k in range(count - 1, -1, -1):
             cost_after, instr_after, infer_after = suf[k + 1]
@@ -1312,7 +1313,7 @@ class _Chunk:
         self.put("return", indent)
 
     def emit_preamble(self, step: Tuple) -> None:
-        """Per-instruction bookkeeping identical to the per-step loop:
+        """Per-instruction bookkeeping identical to the run loop's:
         deviation cursor, P advance, recent-PC ring write, and the
         inlined code-cache probe (miss path charges the fetch and, on
         a fetch trap, takes back this instruction's own share — the
@@ -1339,7 +1340,7 @@ class _Chunk:
     def emit_call_tier(self, step: Tuple) -> None:
         """Dispatch through the bound handler (opcodes without an
         inline emitter, or inline ones demoted on odd operands), with
-        the per-step loop's deviation check on the way out."""
+        a deviation check on the way out."""
         handler_name = self.gen.const(step[0], "H")
         instr_name = self.gen.const(self.instr, "I")
         self.put(f"{handler_name}({instr_name})")

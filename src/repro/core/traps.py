@@ -21,9 +21,10 @@ garbage collection, map a page — and restart the faulting instruction
   long runs can be resumed after a fatal trap or a watchdog stop.
 
 The hot path pays nothing for any of this: a machine whose trap vector
-has no handlers (and no fault injector) runs the exact seed loop, and
-simulated cycle counts are bit-identical.  Recovery costs cycles only
-when a trap actually fires; the accounting lands in
+has no handlers (and no fault injector) takes no per-instruction
+snapshot or write-undo log and may run fused superinstructions, and
+simulated cycle counts are bit-identical either way.  Recovery costs
+cycles only when a trap actually fires; the accounting lands in
 ``RunStats.recovery_cycles``.
 
 Handler contract (see ``docs/TRAPS.md``): ``handler(machine, trap,

@@ -331,15 +331,17 @@ class MemorySystem:
         """State for an inlined code-fetch *hit* probe:
         ``(line_tags, index_mask, tag_shift)``.
 
-        The predecoded run loop (:meth:`Machine._loop_predecoded`)
-        tests ``line_tags[address & index_mask] == address >> tag_shift``
-        itself — a hit costs zero penalty cycles and touches nothing
-        but the read counters, which the loop batches and flushes
-        through :attr:`code_cache` ``.stats`` — and falls back to the
+        On the fast path the run loop (:meth:`Machine._loop`) and the
+        superop closures test
+        ``line_tags[address & index_mask] == address >> tag_shift``
+        themselves — a hit costs zero penalty cycles and touches
+        nothing but the read counters, which they batch and flush
+        through :attr:`code_cache` ``.stats`` — and fall back to the
         full :meth:`code_fetch` path on a miss, so miss/prefetch/MMU
         behaviour and every counter stay bit-identical to the seed
-        loop.  The tag list is mutated in place by the cache, never
-        rebound, so the reference stays valid across the run.
+        interpreter, which calls :meth:`code_fetch` for every
+        instruction.  The tag list is mutated in place by the cache,
+        never rebound, so the reference stays valid across the run.
         """
         cache = self.code_cache
         return cache.tags, cache.TOTAL_WORDS - 1, 13
@@ -415,7 +417,7 @@ class MemorySystem:
         """Put the hierarchy back into a :meth:`timing_state` snapshot.
 
         Containers are mutated in place, never rebound — the fused data
-        path and the predecoded loop's code probe hold references to
+        path and the run loop's code probe hold references to
         the tag/dirty lists and the statistics objects.
         """
         self.data_cache.tags[:] = state["data_tags"]
@@ -457,7 +459,7 @@ class MemorySystem:
         layout-pristine zone limits and a clean MMU, or its simulated
         statistics diverge from a fresh machine's.  Every container is
         mutated in place, never rebound — the fused data path and the
-        predecoded loop's code probe capture ``store._chunks``,
+        run loop's code probe capture ``store._chunks``,
         ``data_cache.tags``/``dirty`` and ``code_cache.tags`` by
         reference.
         """

@@ -96,16 +96,16 @@ class FaultInjector:
     # -- lifecycle -------------------------------------------------------------
 
     def attach(self, machine) -> "FaultInjector":
-        """Install on ``machine`` (switches the machine into the
-        recovering run loop; with page-fault events scheduled, also
-        turns implicit demand paging off so the faults are real)."""
+        """Install on ``machine`` (the run loop then recovers per
+        instruction; with page-fault events scheduled, also turns
+        implicit demand paging off so the faults are real)."""
         machine.injector = self
         if any(ev.kind == "page-fault" for ev in self.events):
             mmu = machine.memory.mmu
             # The host wires the initial working set before handing the
             # machine over to explicit paging (section 2.1) — the run
-            # bootstrap writes the first environment outside the
-            # recovering loop, where a fault has no handler yet.
+            # bootstrap writes the first environment outside the run
+            # loop, where a fault has no handler yet.
             for pointer in self._initial_working_set(machine):
                 vpage = page_number(pointer)
                 if not mmu.is_mapped(vpage):

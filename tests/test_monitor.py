@@ -128,7 +128,7 @@ class TestCycleProfiler:
 
 class TestReplayTracing:
     """Regression: monitors used to see a trapped-and-replayed
-    instruction twice.  The recovering loop now passes ``replay=True``
+    instruction twice.  The run loop now passes ``replay=True``
     on the second delivery so traces match the fault-free run."""
 
     QUERY = "append([a,b,c,d,e,f], [g], X)"

@@ -4,11 +4,15 @@ invalidation contract, ablation equivalence, watchdog semantics."""
 import pytest
 
 from repro.api import compile_and_load, run_query
+from repro.bench.programs import SUITE
 from repro.compiler.incremental import IncrementalLoader
+from repro.core.costs import Features
 from repro.core.machine import Machine
+from repro.core.monitor import MacrocodeTracer, attach
 from repro.core.predecode import BLOCK_ENDERS, predecode
 from repro.core.symbols import SymbolTable
-from repro.errors import CycleLimitExceeded, InstructionError
+from repro.core.tags import page_number
+from repro.errors import CycleLimitExceeded, InstructionError, PageFault
 from repro.prolog.writer import term_to_text
 
 APPEND = ("append([], L, L).\n"
@@ -20,6 +24,28 @@ def loaded_machine(fast_path=True):
     return compile_and_load(APPEND, QUERY,
                             machine=Machine(symbols=SymbolTable(),
                                             fast_path=fast_path))
+
+
+NREV = SUITE["nrev1"]
+
+
+def nrev_machine(path):
+    """nrev1 loaded for one execution path: "fused" (the default
+    build), "unfused" (``Features(superops=False)``), "seed"
+    (``fast_path=False``) or "traced" (default build plus a tracer)."""
+    machine = Machine(symbols=SymbolTable(), fast_path=path != "seed",
+                      features=Features(superops=False)
+                      if path == "unfused" else None)
+    compile_and_load(NREV.source_pure, NREV.query_pure, machine=machine)
+    if path == "traced":
+        attach(machine, MacrocodeTracer())
+    return machine
+
+
+def run_nrev(machine):
+    return machine.run(machine.image.entry,
+                       collect_all=NREV.all_solutions,
+                       answer_names=machine.image.query_variable_names)
 
 
 class TestBlockTable:
@@ -75,7 +101,7 @@ class TestBlockTable:
                     or table.entries[next_p] is not None)
 
     def test_singles_mirror_per_address_steps(self):
-        # The recovering loop executes one instruction at a time from
+        # The run loop executes unfused instructions one at a time from
         # .singles; every instruction start must have its plain step
         # there even when the block entry itself is fused.
         machine = loaded_machine()
@@ -171,6 +197,51 @@ class TestExecutionSemantics:
         assert stats.solutions == 1
         reference = run_query(APPEND, QUERY)
         assert stats.cycles == reference.stats.cycles
+
+    def test_unfused_budget_stops_where_seed_stops(self):
+        # Unfused code runs one instruction per loop step, so the
+        # watchdog fires at the same instruction as in the seed; only a
+        # fused closure may overshoot, by up to one closure.
+        reference = run_nrev(nrev_machine("seed"))
+        unfused, seed = nrev_machine("unfused"), nrev_machine("seed")
+        for budget in range(50, 3000, 37):
+            stops, finals = [], []
+            for machine in (unfused, seed):
+                machine.reset_for_reuse()
+                machine.max_cycles = budget
+                with pytest.raises(CycleLimitExceeded):
+                    run_nrev(machine)
+                stops.append((machine.p, machine.cycles,
+                              machine.stats.instructions))
+                finals.append(machine.resume(extra_cycles=10_000_000))
+            assert stops[0] == stops[1], f"budget {budget}"
+            assert finals[0] == finals[1] == reference, f"budget {budget}"
+
+    def test_code_fetch_trap_reports_one_pc_on_every_path(self):
+        # A trap on the first fetch of a run: the code cache is cold
+        # and the bootstrap stub's code page unmapped, with demand
+        # paging off.  P advances before the fetch on every path, as
+        # in the seed, so err.pc is the fall-through while the report
+        # and the ring name the faulting stub.
+        seen = {}
+        for path in ("fused", "unfused", "seed", "traced"):
+            machine = nrev_machine(path)
+            run_nrev(machine)
+            memory = machine.memory
+            tags = memory.code_cache.tags
+            tags[:] = [None] * len(tags)
+            memory.mmu.demand_paging = False
+            stub = machine._stubs[machine.image.entry]
+            memory.mmu.unmap_page(page_number(stub), code_space=True)
+            with pytest.raises(PageFault) as excinfo:
+                run_nrev(machine)
+            err = excinfo.value
+            assert err.report.pc == stub and err.stats.cycles == 0
+            seen[path] = (err.pc, err.stats, err.report.pc,
+                          machine.recent_addresses())
+        assert seen["unfused"] == seen["fused"]
+        assert seen["seed"] == seen["fused"]
+        assert seen["traced"] == seen["fused"]
 
     def test_ablation_flag_selects_seed_loop(self):
         machine = loaded_machine(fast_path=False)

@@ -216,9 +216,9 @@ class TestFaultInjection:
 
 class TestZeroCostWhenIdle:
     def test_armed_vector_without_faults_charges_nothing(self):
-        """The recovering loop has identical simulated-cycle accounting
-        to the fast loop: arming recovery must not change cycle counts
-        on a fault-free run."""
+        """Recovery has identical simulated-cycle accounting to a run
+        without it: arming recovery must not change cycle counts on a
+        fault-free run."""
         plain = run_query(NREV, NREV_QUERY)
         armed = run_query(NREV, NREV_QUERY, recovery=True)
         assert armed.stats.cycles == plain.stats.cycles

@@ -68,8 +68,8 @@ class TestFusedEntries:
                 assert callable(closure)
             else:
                 assert steps == ref[0]
-            # The recovering loop needs the plain per-address step even
-            # under a fused entry.
+            # Traced and recovering runs need the plain per-address
+            # step even under a fused entry.
             assert fused.singles[address] == plain.singles[address]
         assert seen_fused == fused.fused_count
 
