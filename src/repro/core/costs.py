@@ -172,12 +172,12 @@ class Features:
 
     #: Delayed choice-point creation + shadow registers (section 3.1.5).
     shallow_backtracking: bool = True
-    #: Profile-guided superinstruction fusion over the predecoded fast
-    #: path (repro.core.superops): hot straight-line opcode runs execute
-    #: as single generated host functions.  A host-side switch only —
-    #: simulated statistics are bit-identical either way — kept here so
-    #: the fusion layer can be ablated independently of ``fast_path``,
-    #: like every other specialized-unit switch.
+    #: Superinstruction fusion over the predecoded fast path
+    #: (repro.core.superops): each straight-line block a run enters is
+    #: fused into a single generated host function.  A host-side switch
+    #: only — simulated statistics are bit-identical either way — kept
+    #: here so the fusion layer can be ablated independently of
+    #: ``fast_path``, like every other specialized-unit switch.
     superops: bool = True
     #: MWAC multi-way dispatch; off adds serial type-test cycles.
     mwac: bool = True

@@ -8,7 +8,7 @@ it reads the functional store directly and costs no simulated cycles.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from repro.core.tags import Type
 from repro.core.word import Word
@@ -17,6 +17,8 @@ from repro.prolog.terms import Atom, Float, Int, Struct, Term, Var
 #: Safety bound against decoding cyclic or runaway structures.
 MAX_DECODE_CELLS = 1_000_000
 
+_TOO_LARGE = "term too large to decode (cyclic?)"
+
 
 def decode_word(machine, word: Word,
                 names: "Dict[int, str] | None" = None) -> Term:
@@ -24,75 +26,81 @@ def decode_word(machine, word: Word,
 
     Unbound variables decode to :class:`Var` named ``_<address>`` (or
     via the optional ``names`` map keyed by cell address).
+
+    Decoding keeps its own stack rather than recursing, so an answer of
+    any depth or length decodes.  A structure or list cell that is its
+    own ancestor on the path being decoded (a cyclic term, which
+    unification without occurs check can build) raises ``ValueError``
+    at once; a subterm shared by two branches decodes in both.  Every
+    word and every reference hop is charged against
+    :data:`MAX_DECODE_CELLS`, so a reference loop raises the same error.
     """
     store = machine.memory.store
     symbols = machine.symbols
     read = store.read
-
-    def walk(w: Word, budget: list) -> Term:
+    budget = MAX_DECODE_CELLS
+    REF, LIST, STRUCT = Type.REF, Type.LIST, Type.STRUCT
+    # Compound cells on the path from the root to the word in hand.
+    open_cells = set()
+    results: List[Term] = []
+    # A task is a word to decode, or a (name, arity, cell) triple that
+    # builds a compound from the last ``arity`` results once its
+    # arguments are decoded.
+    tasks: list = [word]
+    while tasks:
+        w = tasks.pop()
+        if type(w) is tuple:
+            name, arity, cell = w
+            first = len(results) - arity
+            args = tuple(results[first:])
+            del results[first:]
+            results.append(Struct(name, args))
+            open_cells.discard(cell)
+            continue
         # Dereference without simulated cycle cost — but charge the
         # host-side budget per hop: a REF loop longer than one cell
-        # (a->b->a) never hits the direct self-reference test below and
-        # would otherwise spin forever.
-        while w.type is Type.REF:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise ValueError("term too large to decode (cyclic?)")
+        # (a->b->a) never hits the self-reference test below and would
+        # otherwise spin forever.
+        while w.type is REF:
+            budget -= 1
+            if budget < 0:
+                raise ValueError(_TOO_LARGE)
             cell = read(w.value)
-            if cell.type is Type.REF and cell.value == w.value:
-                if names and w.value in names:
-                    return Var(names[w.value])
-                return Var(f"_{w.value}")
+            if cell.type is REF and cell.value == w.value:
+                break
             w = cell
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ValueError("term too large to decode (cyclic?)")
+        budget -= 1
+        if budget < 0:
+            raise ValueError(_TOO_LARGE)
         t = w.type
-        if t is Type.INT:
-            return Int(int(w.value))
-        if t is Type.FLOAT:
-            return Float(float(w.value))
-        if t is Type.ATOM:
-            return Atom(symbols.atom_name(int(w.value)))
-        if t is Type.NIL:
-            return Atom("[]")
-        if t is Type.LIST:
-            # Iterate down the spine: benchmark answers are thousands
-            # of elements long, far beyond the Python recursion limit.
-            heads = []
-            while True:
-                heads.append(walk(read(w.value), budget))
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise ValueError("term too large to decode (cyclic?)")
-                tail = read(w.value + 1)
-                # Same per-hop budget charge as above: a cyclic tail
-                # REF chain must error out, not hang the host.
-                while tail.type is Type.REF:
-                    budget[0] -= 1
-                    if budget[0] < 0:
-                        raise ValueError(
-                            "term too large to decode (cyclic?)")
-                    cell = read(tail.value)
-                    if cell.type is Type.REF and cell.value == tail.value:
-                        break
-                    tail = cell
-                if tail.type is not Type.LIST:
-                    break
-                w = tail
-            result = walk(tail, budget)
-            for head in reversed(heads):
-                result = Struct(".", (head, result))
-            return result
-        if t is Type.STRUCT:
-            functor = read(w.value)
-            name, arity = symbols.functor_key(int(functor.value))
-            args = tuple(walk(read(w.value + 1 + i), budget)
-                         for i in range(arity))
-            return Struct(name, args)
-        raise ValueError(f"cannot decode word of type {t.name}")
-
-    return walk(word, [MAX_DECODE_CELLS])
+        if t is REF:
+            if names and w.value in names:
+                results.append(Var(names[w.value]))
+            else:
+                results.append(Var(f"_{w.value}"))
+        elif t is Type.INT:
+            results.append(Int(int(w.value)))
+        elif t is Type.FLOAT:
+            results.append(Float(float(w.value)))
+        elif t is Type.ATOM:
+            results.append(Atom(symbols.atom_name(int(w.value))))
+        elif t is Type.NIL:
+            results.append(Atom("[]"))
+        elif t is LIST or t is STRUCT:
+            address = w.value
+            cell = (t, address)
+            if cell in open_cells:
+                raise ValueError(_TOO_LARGE)
+            open_cells.add(cell)
+            if t is LIST:
+                tasks += ((".", 2, cell), read(address + 1), read(address))
+            else:
+                name, arity = symbols.functor_key(int(read(address).value))
+                tasks.append((name, arity, cell))
+                tasks += [read(address + i) for i in range(arity, 0, -1)]
+        else:
+            raise ValueError(f"cannot decode word of type {t.name}")
+    return results[0]
 
 
 def encode_term(machine, term: Term) -> Word:

@@ -281,8 +281,8 @@ class Machine:
         predecoded block table and the image's superop code memo are
         all excluded; every one is rebuilt deterministically — the
         dispatch table eagerly on unpickle, the closures on the next
-        run, the predecode table (compiling its superops afresh) lazily
-        by :meth:`_ensure_predecoded`.
+        run, the predecode table lazily by :meth:`_ensure_predecoded`
+        and its superops afresh as blocks are entered.
         """
         state = self.__dict__.copy()
         for derived in ("_read", "_write", "deref"):
@@ -503,7 +503,7 @@ class Machine:
                 if (te_ok and machine._undo_log is None
                         and not store.track_dirty
                         and not te.write_protected):
-                    c = chunks.get(top >> 16)
+                    c = chunks.get(top >> chunk_shift)
                     if c is not None:
                         if sectioned:
                             j = te_base | (top & 1023)
@@ -515,7 +515,7 @@ class Machine:
                                 and te.low_bound <= top < te.high_bound
                                 and 0 <= top <= amask):
                             te.checks += 1
-                            c[top & 0xFFFF] = w
+                            c[top & chunk_mask] = w
                             ds.writes += 1
                             ds.write_hits += 1
                             ddirty[j] = True
@@ -590,6 +590,8 @@ class Machine:
         memory = self.memory
         store = memory.store
         chunks = store._chunks
+        chunk_shift = store.CHUNK_SHIFT
+        chunk_mask = store.CHUNK_MASK
         dcache = memory.data_cache
         dtags = dcache.tags
         ddirty = dcache.dirty
@@ -619,7 +621,7 @@ class Machine:
 
             def rd(a):
                 if ok:
-                    c = chunks.get(a >> 16)
+                    c = chunks.get(a >> chunk_shift)
                     if c is not None:
                         if sectioned:
                             j = base | (a & 1023)
@@ -628,7 +630,7 @@ class Machine:
                             j = a & 8191
                             t = a >> 13
                         if dtags[j] == t:
-                            w = c[a & 0xFFFF]
+                            w = c[a & chunk_mask]
                             if (w is not None
                                     and entry.low_bound <= a
                                     < entry.high_bound
@@ -644,7 +646,7 @@ class Machine:
                 if (ok and machine._undo_log is None
                         and not store.track_dirty
                         and not entry.write_protected):
-                    c = chunks.get(a >> 16)
+                    c = chunks.get(a >> chunk_shift)
                     if c is not None:
                         if sectioned:
                             j = base | (a & 1023)
@@ -657,7 +659,7 @@ class Machine:
                                 < entry.high_bound
                                 and 0 <= a <= amask):
                             entry.checks += 1
-                            c[a & 0xFFFF] = w
+                            c[a & chunk_mask] = w
                             ds.writes += 1
                             ds.write_hits += 1
                             ddirty[j] = True
@@ -782,7 +784,7 @@ class Machine:
                     and not store.track_dirty
                     and not ce.write_protected):
                 for w in words:
-                    c = chunks.get(a >> 16)
+                    c = chunks.get(a >> chunk_shift)
                     hit = False
                     if c is not None:
                         if sectioned:
@@ -795,7 +797,7 @@ class Machine:
                                 and ce.low_bound <= a < ce.high_bound
                                 and 0 <= a <= amask):
                             ce.checks += 1
-                            c[a & 0xFFFF] = w
+                            c[a & chunk_mask] = w
                             ds.writes += 1
                             ds.write_hits += 1
                             ddirty[j] = True
@@ -1179,8 +1181,10 @@ class Machine:
     def _ensure_predecoded(self) -> PredecodedCode:
         """The predecoded table for the current code zone, rebuilt only
         when the code changed since the last build.  With
-        ``features.superops`` on, profile-selected hot blocks are fused
-        into single closures (repro.core.superops) during translation."""
+        ``features.superops`` on, each block is fused into a single
+        closure (repro.core.superops) the first time a run enters it,
+        not here; the table keeps its closures across
+        ``reset_for_reuse``."""
         table = self._predecoded
         if table is None or not table.valid_for(self.code,
                                                 self._code_generation):

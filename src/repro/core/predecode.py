@@ -27,11 +27,13 @@ table holds the straight-line run of steps from that address to the
 next block-ending instruction, together with the block's summed static
 cost / instruction count / inference count.  Blocks are the unit of
 the superinstruction layer (:mod:`repro.core.superops`): when a fuser
-is supplied, blocks whose opcode runs the profile marked hot are
-compiled into single closures and their entries carry that closure in
-the ``fused`` slot.  The run loop charges a fused entry's sums once and
-calls the closure, which "uncharges" its unexecuted suffix when a
-mid-block failure or trap transfers control early.
+is supplied, every fusable entry's ``fused`` slot starts out holding
+the table's one :meth:`~repro.core.superops.SuperopFuser.on_entry`
+callable, which fuses the block into a single closure the first time
+the run loop enters it and stores the closure in the entry.  The run
+loop charges a fused entry's sums once and calls the slot; the closure
+"uncharges" its unexecuted suffix when a mid-block failure or trap
+transfers control early.
 
 The table is a pure cache over ``machine.code``: anything that writes
 the code zone (the linker's :meth:`LinkedImage.install`, the
@@ -66,9 +68,10 @@ BLOCK_ENDERS = frozenset({
 Step = Tuple[Callable, int, int, int, object]
 
 #: One table entry: (steps-from-here-to-block-end, static-cycle sum,
-#: instruction count, inference count, fused-closure-or-None).  Fused
-#: entries keep their sums but carry an empty steps tuple — the closure
-#: embodies the whole run.
+#: instruction count, inference count, fused-slot-or-None).  Until its
+#: block first runs, a fusable entry keeps its steps and holds the
+#: table's on-entry callable; a fused entry keeps its sums but carries
+#: an empty steps tuple — the closure embodies the whole run.
 BlockView = Tuple[Tuple[Step, ...], int, int, int, Optional[Callable]]
 
 
@@ -85,15 +88,13 @@ class PredecodedCode:
     translations_performed = 0
 
     def __init__(self, entries: List[Optional[BlockView]], code_len: int,
-                 singles: Optional[List[Optional[Step]]] = None,
-                 generation: int = 0, fused_count: int = 0):
+                 singles: List[Optional[Step]], generation: int = 0):
         self.entries = entries
-        self.singles = singles if singles is not None else \
-            [entry[0][0] if entry and entry[0] else None
-             for entry in entries]
+        self.singles = singles
         self.code_len = code_len
         self.generation = generation
-        self.fused_count = fused_count
+        #: closures installed so far by the on-entry callable.
+        self.fused_count = 0
 
     def valid_for(self, code: list, generation: Optional[int] = None) -> bool:
         """Staleness check: code length (catches installs/extends that
@@ -113,9 +114,10 @@ def predecode(code: list, dispatch: Dict[Op, Callable],
     ``dispatch`` maps opcodes to bound handlers (the machine's dispatch
     table); ``static_costs`` maps opcodes to their fixed per-execution
     cycle charge (:meth:`CostModel.static_cost_table`).  ``fuser``, when
-    given, is a :class:`repro.core.superops.SuperopFuser` consulted per
-    block entry; blocks it fuses execute as one closure whenever the
-    run loop applies fusion.  ``generation`` stamps the table with the
+    given, is a :class:`repro.core.superops.SuperopFuser`: every block
+    it deems fusable is fused on its first entry, and executes as one
+    closure whenever the run loop applies fusion.  Nothing is generated
+    or compiled here.  ``generation`` stamps the table with the
     machine's code-zone generation for the
     :meth:`PredecodedCode.valid_for` check.
 
@@ -151,18 +153,11 @@ def predecode(code: list, dispatch: Dict[Op, Callable],
                                 step[2] + tail_infer,
                                 None)
 
-    fused_count = 0
+    table = PredecodedCode(entries, n, steps, generation)
     if fuser is not None:
-        for address in range(n):
-            entry = entries[address]
-            if entry is None:
-                continue
-            closure = fuser.fuse(address, entry[0])
-            if closure is not None:
-                entries[address] = ((), entry[1], entry[2], entry[3],
-                                    closure)
-                fused_count += 1
-
+        on_entry = fuser.on_entry(table)
+        for address, entry in enumerate(entries):
+            if entry is not None and fuser.fusable(entry[0]):
+                entries[address] = entry[:4] + (on_entry,)
     PredecodedCode.translations_performed += 1
-    return PredecodedCode(entries, n, singles=steps,
-                          generation=generation, fused_count=fused_count)
+    return table

@@ -1,23 +1,25 @@
-"""Profile-guided superinstruction fusion over the predecoded fast path.
+"""Superinstruction fusion over the predecoded fast path.
 
 The predecode layer (:mod:`repro.core.predecode`) already pays decode
 cost once per code word, but still executes one bound handler per
 instruction.  Following the superinstruction literature for exactly
 this interpreter shape (Körner et al., arXiv 2008.12543 — see
-PAPERS.md), this module fuses hot straight-line opcode *runs* into
-single generated host functions:
+PAPERS.md), this module fuses straight-line opcode *runs* into single
+generated host functions.
 
-- :class:`FusionTable` holds the opcode sequences worth fusing.  The
-  default table (:func:`default_table`) is the committed, generated
-  artifact :mod:`repro.core.superops_table`, produced by profiling the
-  PLM bench corpus with ``python -m repro.bench.superprofile`` rather
-  than hand-picked.
-- :class:`SuperopFuser` compiles one closure per fused basic block.
-  The closure's source is generated per block: operand registers,
-  fall-through addresses, code-cache probe constants and suffix cost
-  sums are baked in as literals, the common data-movement and
-  unification opcodes are inlined, and everything else calls the
-  ordinary bound handler.
+:class:`SuperopFuser` compiles one closure per basic block, on the
+block's first entry.  Every block is fusable except a lone instruction
+without an inline emitter, whose closure would save nothing over the
+run loop's own step.  :func:`~repro.core.predecode.predecode` puts one
+callable per table, :meth:`SuperopFuser.on_entry`, in the fused slot of
+every fusable entry; the first call fuses the block, installs its
+closure in the entry and runs it, so only blocks that run are ever
+generated and compiled, whichever program the image holds.  The
+closure's source is generated per block: operand registers,
+fall-through addresses, code-cache probe constants and suffix cost sums
+are baked in as literals, the common data-movement and unification
+opcodes are inlined, and everything else calls the ordinary bound
+handler.
 
 Correctness contract (the reason this is safe to switch on by
 default): a fused block produces *bit-identical* simulated statistics
@@ -39,7 +41,8 @@ Concretely:
   ``err.pc``, the recent-PC ring and ``resume()`` see identical state.
 - Fused execution is only ever entered from :meth:`Machine._loop`,
   and never while a tracer is attached, the trap vector is armed or a
-  fault injector is attached: those runs execute per instruction.
+  fault injector is attached: those runs execute per instruction and,
+  since they never call a fused slot, compile nothing.
 
 Host-side only: no simulated observable depends on whether a block was
 fused.  ``Features.superops=False`` ablates the layer independently of
@@ -50,93 +53,14 @@ from __future__ import annotations
 
 import builtins
 from types import CodeType
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.opcodes import ArithOp, Op, TestOp
 from repro.core.registers import X_REGISTERS
 from repro.core.tags import ADDRESS_MASK
 from repro.core.word import Type, Word, Zone
 from repro.errors import ArithmeticError_, MachineError
-
-#: Fusable run lengths.  Single-instruction blocks are worth fusing
-#: only for opcodes with an inline emitter (the closure then replaces a
-#: whole outer-loop iteration plus a handler dispatch with baked-operand
-#: straight-line code); :meth:`SuperopFuser.fuse` enforces that.
-#: MAX_FUSE_LEN caps the *profiled sequence* length recorded in the
-#: table — longer profiled runs are truncated to their 32-opcode prefix
-#: — but not the static block: a block of any length fuses when a
-#: recorded prefix matches, since generation cost is paid once per
-#: translation and the long once-per-query head blocks complete.
-MIN_FUSE_LEN = 1
-MAX_FUSE_LEN = 32
-
-
-class FusionTable:
-    """The set of opcode sequences selected for fusion.
-
-    Built from ``(op_name_tuple, count)`` pairs as emitted by the
-    profiler (:mod:`repro.bench.superprofile`).  A static block is
-    fused when the executed-run profile says its opcode tuple — or any
-    of its prefixes of fusable length — was hot: executed runs break
-    at the same block enders the predecoder uses, so every profiled
-    run is a prefix of some static block.
-    """
-
-    def __init__(self, sequences: Sequence) -> None:
-        seqs = set()
-        for entry in sequences:
-            names = entry[0] if entry and isinstance(entry[0], tuple) \
-                else entry
-            names = tuple(names)[:MAX_FUSE_LEN]
-            if len(names) < MIN_FUSE_LEN:
-                continue
-            try:
-                seqs.add(tuple(Op[name] for name in names))
-            except KeyError:
-                # A sequence profiled by a different opcode vintage;
-                # skip rather than fail the whole table.
-                continue
-        self._seqs = seqs
-        self._max_len = max((len(s) for s in seqs), default=0)
-
-    def __len__(self) -> int:
-        return len(self._seqs)
-
-    def matches(self, ops: Tuple[Op, ...]) -> bool:
-        """Should a block with this opcode tuple be fused?  True when
-        the tuple itself or any of its prefixes was recorded hot; the
-        static block's own length is not capped (see MAX_FUSE_LEN)."""
-        n = len(ops)
-        if n < MIN_FUSE_LEN:
-            return False
-        seqs = self._seqs
-        if ops in seqs:
-            return True
-        for length in range(MIN_FUSE_LEN, min(n, self._max_len + 1)):
-            if ops[:length] in seqs:
-                return True
-        return False
-
-
-_default: Optional[FusionTable] = None
-
-
-def default_table() -> FusionTable:
-    """The committed profile-selected table (cached).
-
-    Falls back to an empty table (fusing nothing, fast path still
-    correct) when the generated :mod:`repro.core.superops_table`
-    module is missing; regenerate it with
-    ``PYTHONPATH=src python -m repro.bench.superprofile``.
-    """
-    global _default
-    if _default is None:
-        try:
-            from repro.core.superops_table import SEQUENCES
-        except ImportError:         # pragma: no cover - regeneration gap
-            SEQUENCES = ()
-        _default = FusionTable(SEQUENCES)
-    return _default
+from repro.memory.store import DataStore
 
 
 class _Demote(Exception):
@@ -212,7 +136,9 @@ class SuperopFuser:
     stats, the code-fetch bound method — see the stability notes on
     :meth:`Machine.reset_for_reuse`); per-run state (``stats``, the
     fused memory closures, the recent-PC ring index) is fetched inside
-    each closure call.
+    each closure call.  One fuser lives as long as its predecoded
+    table, since a block may first run several warm reuses after the
+    translation.
 
     ``code_memo`` maps ``(address, generated source)`` to the compiled
     code object.  :meth:`LinkedImage.install` hands every machine it
@@ -227,7 +153,7 @@ class SuperopFuser:
     #: nothing (mirrors ``PredecodedCode.translations_performed``).
     compiles_performed = 0
 
-    def __init__(self, machine, table: Optional[FusionTable] = None,
+    def __init__(self, machine,
                  code_memo: Optional[Dict[Tuple[int, str], CodeType]] = None
                  ) -> None:
         # Machine is imported lazily: machine.py imports this module at
@@ -236,9 +162,7 @@ class SuperopFuser:
                                         _RECENT_MASK)
         from repro.core.registers import SHADOW_ALT, SHADOW_H, SHADOW_TR
         self.machine = machine
-        self.table = default_table() if table is None else table
         self.code_memo = {} if code_memo is None else code_memo
-        self.fused_built = 0
         self._env_y0 = ENV_Y0
         self._env_ce = ENV_CE
         self._env_cp = ENV_CP
@@ -362,19 +286,39 @@ class SuperopFuser:
         return f"{var} & {mask}", (mask + 1).bit_length() - 1
 
     # ------------------------------------------------------------------
-    # entry point
+    # entry points
     # ------------------------------------------------------------------
 
-    def fuse(self, address: int, steps: Tuple) -> Optional[Callable[[], None]]:
-        """Compile the block at ``address`` into one closure, or return
-        ``None`` when the profile says it is not worth fusing."""
-        ops = tuple(step[4].op for step in steps)
-        if not self.table.matches(ops):
-            return None
-        if len(steps) == 1 and ops[0] not in self._emitters:
-            # A call-tier closure for one instruction saves nothing
-            # over the run loop's own step.
-            return None
+    def fusable(self, steps: Tuple) -> bool:
+        """Whether the block ``steps`` gets a closure: every block but a
+        lone instruction without an inline emitter, whose call-tier
+        closure would save nothing over the run loop's own step."""
+        return len(steps) > 1 or steps[0][4].op in self._emitters
+
+    def on_entry(self, table) -> Callable[[], None]:
+        """The one callable :func:`~repro.core.predecode.predecode` puts
+        in the fused slot of every fusable entry of ``table``.
+
+        It relies on :meth:`Machine._loop` calling a fused slot while
+        ``P`` is still at the block: it fuses the block at
+        ``machine.p``, stores the closure in that entry (the loop calls
+        the closure from then on) and runs it.  The loop has already
+        charged the entry's block sums, which the closure settles as
+        always."""
+        machine = self.machine
+        entries = table.entries
+
+        def fuse_on_entry() -> None:
+            address = machine.p
+            steps, cycles, instrs, infers, _ = entries[address]
+            closure = self.fuse(address, steps)
+            entries[address] = ((), cycles, instrs, infers, closure)
+            table.fused_count += 1
+            closure()
+        return fuse_on_entry
+
+    def fuse(self, address: int, steps: Tuple) -> Callable[[], None]:
+        """Compile the block at ``address`` into one closure."""
         source, env = self._generate(address, steps)
         key = (address, source)
         code = self.code_memo.get(key)
@@ -385,7 +329,6 @@ class SuperopFuser:
         namespace: Dict[str, object] = {"__builtins__": builtins}
         namespace.update(env)
         exec(code, namespace)
-        self.fused_built += 1
         return namespace["_superop"]
 
     # ------------------------------------------------------------------
@@ -1210,10 +1153,11 @@ class _Chunk:
         self.put(f"ra_ = {addr}", indent)
         self.put(f"{target} = None", indent)
         self.put("if timing and ze:", indent)
-        self.put("    rk_ = chunks.get(ra_ >> 16)", indent)
+        self.put(f"    rk_ = chunks.get(ra_ >> "
+                 f"{DataStore.CHUNK_SHIFT})", indent)
         self.put(f"    if rk_ is not None and dtags[{jexpr}] == "
                  f"ra_ >> {shift}:", indent)
-        self.put("        rw_ = rk_[ra_ & 65535]", indent)
+        self.put(f"        rw_ = rk_[ra_ & {DataStore.CHUNK_MASK}]", indent)
         self.put(f"        if rw_ is not None "
                  f"and DPT in {en}.allowed_types "
                  f"and {en}.low_bound <= ra_ < {en}.high_bound "
@@ -1254,12 +1198,13 @@ class _Chunk:
                  f"and not {en}.write_protected "
                  f"and {en}.low_bound <= wa_ < {en}.high_bound "
                  f"and 0 <= wa_ <= {ADDRESS_MASK}):", indent)
-        self.put("    wk_ = chunks.get(wa_ >> 16)", indent)
+        self.put(f"    wk_ = chunks.get(wa_ >> "
+                 f"{DataStore.CHUNK_SHIFT})", indent)
         self.put("    if wk_ is None:", indent)
         self.put(f"        write(wa_, ww_, {zone_name})", indent)
         self.put("    else:", indent)
         self.put(f"        {en}.checks += 1", indent)
-        self.put("        wk_[wa_ & 65535] = ww_", indent)
+        self.put(f"        wk_[wa_ & {DataStore.CHUNK_MASK}] = ww_", indent)
         self.put("        ds.writes += 1", indent)
         self.put("        ds.write_hits += 1", indent)
         self.put("        ddirty[wj_] = True", indent)

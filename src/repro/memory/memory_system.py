@@ -134,6 +134,8 @@ class MemorySystem:
         zone_check = zones.check
         store = self.store
         chunks = store._chunks
+        chunk_shift = store.CHUNK_SHIFT
+        chunk_mask = store.CHUNK_MASK
         timing = self.timing_enabled
         cache = self.data_cache
         cstats = cache.stats
@@ -160,8 +162,8 @@ class MemorySystem:
                     entry.checks += 1
                 else:
                     zone_check(zone, address, word_type, False)  # raises
-            chunk = chunks.get(address >> 16)
-            word = chunk[address & 0xFFFF] if chunk is not None else None
+            chunk = chunks.get(address >> chunk_shift)
+            word = chunk[address & chunk_mask] if chunk is not None else None
             if word is None:
                 store.uninitialised_reads += 1
                 word = ZERO_WORD
@@ -208,11 +210,11 @@ class MemorySystem:
                     entry.checks += 1
                 else:
                     zone_check(zone, address, word_type, True)  # raises
-            chunk = chunks.get(address >> 16)
+            chunk = chunks.get(address >> chunk_shift)
             if chunk is None:
                 store.write(address, word)  # allocates the chunk
             else:
-                chunk[address & 0xFFFF] = word
+                chunk[address & chunk_mask] = word
             if not timing:
                 stats.data_writes += 1
                 return
@@ -271,9 +273,9 @@ class MemorySystem:
                             and REF_TYPE in entry.allowed_types
                             and entry.low_bound <= address
                             < entry.high_bound):
-                        chunk = chunks.get(address >> 16)
+                        chunk = chunks.get(address >> chunk_shift)
                         if chunk is not None:
-                            cell = chunk[address & 0xFFFF]
+                            cell = chunk[address & chunk_mask]
                 if cell is not None:
                     if sectioned:
                         index = ((zone & 7) << 10) | (address & 1023)
@@ -308,7 +310,7 @@ class MemorySystem:
             plain_write = write
 
             def write(address, word, zone, word_type=DATA_PTR):  # noqa: F811
-                dirty_chunks.add(address >> 16)
+                dirty_chunks.add(address >> chunk_shift)
                 plain_write(address, word, zone, word_type)
 
         return read, write, deref

@@ -33,7 +33,13 @@ class DataStore:
     for checkpointed runs.
     """
 
-    CHUNK_WORDS = 1 << 16  # 64K words per chunk
+    #: Chunk geometry, the one place it is spelled: ``address >>
+    #: CHUNK_SHIFT`` keys an address's chunk and ``address &
+    #: CHUNK_MASK`` is its slot.  The fused data and control paths bind
+    #: these as closure locals and generated superop code bakes them in.
+    CHUNK_SHIFT = 16
+    CHUNK_WORDS = 1 << CHUNK_SHIFT  # 64K words per chunk
+    CHUNK_MASK = CHUNK_WORDS - 1
 
     def __init__(self, size: int = DATA_SPACE_WORDS):
         self.size = size
@@ -44,8 +50,8 @@ class DataStore:
 
     def read(self, address: int) -> Word:
         """Fetch the word at ``address``."""
-        chunk = self._chunks.get(address >> 16)
-        word = chunk[address & 0xFFFF] if chunk is not None else None
+        chunk = self._chunks.get(address >> self.CHUNK_SHIFT)
+        word = None if chunk is None else chunk[address & self.CHUNK_MASK]
         if word is None:
             self.uninitialised_reads += 1
             return ZERO_WORD
@@ -53,7 +59,7 @@ class DataStore:
 
     def write(self, address: int, word: Word) -> None:
         """Store ``word`` at ``address``."""
-        key = address >> 16
+        key = address >> self.CHUNK_SHIFT
         chunk = self._chunks.get(key)
         if chunk is None:
             if not 0 <= address < self.size:
@@ -62,7 +68,7 @@ class DataStore:
             self._chunks[key] = chunk
         if self.track_dirty:
             self.dirty_chunks.add(key)
-        chunk[address & 0xFFFF] = word
+        chunk[address & self.CHUNK_MASK] = word
 
     def peek(self, address: int) -> Optional[Word]:
         """Raw cell contents, ``None`` when never written.
@@ -71,8 +77,8 @@ class DataStore:
         it is for host-side bookkeeping (the trap replay's write-undo
         log), not simulated accesses.
         """
-        chunk = self._chunks.get(address >> 16)
-        return chunk[address & 0xFFFF] if chunk is not None else None
+        chunk = self._chunks.get(address >> self.CHUNK_SHIFT)
+        return None if chunk is None else chunk[address & self.CHUNK_MASK]
 
     def poke(self, address: int, word: Optional[Word]) -> None:
         """Raw overwrite; ``None`` restores the never-written state.
@@ -80,7 +86,7 @@ class DataStore:
         Host-side counterpart of :meth:`peek` — no zone checks, no
         cycle accounting.
         """
-        key = address >> 16
+        key = address >> self.CHUNK_SHIFT
         chunk = self._chunks.get(key)
         if chunk is None:
             if word is None:
@@ -91,9 +97,10 @@ class DataStore:
             self._chunks[key] = chunk
         if self.track_dirty:
             self.dirty_chunks.add(key)
-        chunk[address & 0xFFFF] = word
+        chunk[address & self.CHUNK_MASK] = word
 
     def initialised(self, address: int) -> bool:
         """Whether ``address`` has been written (test inspection)."""
-        chunk = self._chunks.get(address >> 16)
-        return chunk is not None and chunk[address & 0xFFFF] is not None
+        chunk = self._chunks.get(address >> self.CHUNK_SHIFT)
+        return (chunk is not None
+                and chunk[address & self.CHUNK_MASK] is not None)

@@ -153,21 +153,22 @@ def test_incremental_capture_copies_only_dirty_chunks():
     store.track_dirty = True
     try:
         from repro.core.word import make_int
-        bases = [0x1_0000, 0x2_0000, 0x3_0000]   # three distinct chunks
+        words = store.CHUNK_WORDS
+        bases = [words, 2 * words, 3 * words]   # three distinct chunks
         for base in bases:
             store.poke(base + 4, make_int(base))
         full = MachineCheckpoint.capture(machine)
-        assert sorted(full.copied_chunks) == [b >> 16 for b in bases]
+        assert sorted(full.copied_chunks) == [b // words for b in bases]
 
         store.poke(bases[1] + 8, make_int(99))
         delta = MachineCheckpoint.capture(machine, since=full)
-        assert list(delta.copied_chunks) == [bases[1] >> 16]
+        assert list(delta.copied_chunks) == [bases[1] // words]
         # Clean chunks are shared with the baseline, not recopied.
         for base in (bases[0], bases[2]):
-            key = base >> 16
+            key = base // words
             assert delta.store_chunks[key] is full.store_chunks[key]
-        assert delta.store_chunks[bases[1] >> 16] \
-            is not full.store_chunks[bases[1] >> 16]
+        assert delta.store_chunks[bases[1] // words] \
+            is not full.store_chunks[bases[1] // words]
     finally:
         store.track_dirty = False
         store.dirty_chunks.clear()

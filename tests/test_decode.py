@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import run_query
 from repro.core.decode import decode_word, encode_term
 from repro.core.machine import Machine
 from repro.core.registers import RegisterFile, X_REGISTERS
@@ -10,6 +11,7 @@ from repro.core.tags import Zone
 from repro.core.trail import Trail
 from repro.core.word import make_int, make_list, make_ref, make_unbound
 from repro.prolog.parser import parse_term
+from repro.prolog.terms import Atom, Struct
 from repro.prolog.writer import term_to_text
 
 
@@ -121,7 +123,49 @@ class TestDecodeRefCycles:
     """Regression: decode_word used to hang on REF chains that loop
     without a direct self-reference (a -> b -> a never trips the
     unbound-variable test).  The per-hop budget turns both cycle shapes
-    into the standard 'too large to decode' error."""
+    into the standard 'too large to decode' error.  Cyclic terms built
+    by unification (no occurs check) raise the same error, as soon as a
+    compound cell is its own ancestor, instead of escaping as a
+    RecursionError or exhausting the budget."""
+
+    @pytest.mark.parametrize("clause", [
+        "q(Y) :- Y = f(Y).",
+        "q(Y) :- Y = [Y].",
+        "q(Y) :- Y = [1|Y].",
+    ])
+    def test_cyclic_answer_errors(self, clause):
+        with pytest.raises(ValueError, match="cyclic"):
+            run_query(clause, "q(A)", use_cache=False)
+
+    def test_cyclic_list_errors_at_the_first_repeat(self, machine):
+        store = machine.memory.store
+        store.poke(400, make_int(1))
+        store.poke(401, make_list(400))   # [1|Y] with Y the list itself
+        reads = []
+        plain_read = store.read
+        store.read = lambda address: reads.append(address) \
+            or plain_read(address)
+        with pytest.raises(ValueError, match="cyclic"):
+            decode_word(machine, make_list(400))
+        assert len(reads) <= 4
+
+    def test_shared_subterm_decodes_in_every_branch(self):
+        result = run_query("q(X) :- Y = g(1, [a]), X = f(Y, [Y|Y]).",
+                           "q(A)", use_cache=False)
+        assert term_to_text(result.solutions[0]["A"]) \
+            == "f(g(1, [a]), [g(1, [a])|g(1, [a])])"
+
+    def test_deep_answer_decodes(self):
+        result = run_query("d(0, z) :- !.\n"
+                           "d(N, f(T)) :- M is N - 1, d(M, T).",
+                           "d(3000, T)", use_cache=False)
+        # Walk with a loop: term_to_text and Term.__eq__ recurse.
+        term, depth = result.solutions[0]["T"], 0
+        while isinstance(term, Struct):
+            assert term.name == "f" and len(term.args) == 1
+            term, depth = term.args[0], depth + 1
+        assert depth == 3000
+        assert term == Atom("z")
 
     def test_two_cell_ref_loop_errors(self, machine):
         store = machine.memory.store

@@ -15,9 +15,10 @@ from repro.core.symbols import SymbolTable
 from repro.prolog.writer import term_to_text
 from repro.recovery import FaultInjector
 
-#: Short and medium suite programs, like test_props_fastpath; the
-#: corpus leans on programs whose hot blocks the committed fusion
-#: table actually covers (arithmetic, list recursion, backtracking).
+#: Short and medium suite programs, like test_props_fastpath, covering
+#: arithmetic, list recursion and backtracking.  Every block a run
+#: enters is fused on first entry; tests/test_props_generated.py
+#: covers programs outside the suite.
 CORPUS = ["con1", "con6", "divide10", "log10", "nrev1", "ops8",
           "qs4", "times10"]
 

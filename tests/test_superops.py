@@ -1,6 +1,6 @@
-"""The superinstruction layer: fused-entry structure, ablation
-equivalence, generation-counter staleness, warm-reuse translation
-caching and compile-once superop code per image."""
+"""The superinstruction layer: fused-entry structure, fusion on first
+entry, ablation equivalence, generation-counter staleness, warm-reuse
+translation caching and compile-once superop code per image."""
 
 import pickle
 
@@ -9,9 +9,10 @@ from repro.bench.programs import SUITE
 from repro.core.costs import Features
 from repro.core.instruction import Instruction
 from repro.core.machine import Machine
+from repro.core.monitor import MacrocodeTracer, attach
 from repro.core.opcodes import Op
 from repro.core.predecode import PredecodedCode, predecode
-from repro.core.superops import FusionTable, SuperopFuser
+from repro.core.superops import SuperopFuser
 from repro.core.symbols import SymbolTable
 from repro.core.word import make_int
 from repro.prolog.writer import term_to_text
@@ -33,39 +34,51 @@ def run_loaded(machine):
                        answer_names=machine.image.query_variable_names)
 
 
-def self_table(machine):
-    """A FusionTable naming every static block of ``machine.code``, so
-    fusion does not depend on what the committed profile selected."""
-    plain = predecode(machine.code, machine._dispatch,
-                      machine.costs.static_cost_table())
-    return FusionTable([tuple(step[4].op.name for step in entry[0])
-                        for entry in plain.entries if entry is not None])
+def machine_over(image):
+    machine = Machine(symbols=image.symbols)
+    image.install(machine)
+    machine.image = image
+    return machine
+
+
+def fused_slots(table):
+    """(closures installed, fusable entries) of a predecoded table: an
+    entry is fusable when its fused slot is filled at all, and holds
+    its block's closure once its steps are gone."""
+    slots = [entry for entry in table.entries
+             if entry is not None and entry[4] is not None]
+    return sum(1 for entry in slots if entry[0] == ()), len(slots)
 
 
 class TestFusedEntries:
     def test_fused_entries_preserve_block_sums(self):
         machine = loaded_machine()
+        run_loaded(machine)
         plain = predecode(machine.code, machine._dispatch,
                           machine.costs.static_cost_table())
-        fuser = SuperopFuser(machine, table=self_table(machine))
-        fused = predecode(machine.code, machine._dispatch,
-                          machine.costs.static_cost_table(), fuser=fuser)
+        fused = machine._predecoded
         assert fused.fused_count > 0
+        # Entries not entered yet share the table's one on-entry
+        # callable; an entered entry holds its own closure.
+        on_entry = {entry[4] for entry in fused.entries
+                    if entry is not None and entry[0]
+                    and entry[4] is not None}
+        assert len(on_entry) == 1
         seen_fused = 0
         for address, entry in enumerate(fused.entries):
             ref = plain.entries[address]
             assert (entry is None) == (ref is None)
             if entry is None:
                 continue
-            steps, cycles, instrs, infers, closure = entry
+            steps, cycles, instrs, infers, slot = entry
             # The uncharge sums a fused entry carries must be the plain
             # translation's, or mid-block deviations landing on it
             # would settle wrong cycle counts.
             assert (cycles, instrs, infers) == (ref[1], ref[2], ref[3])
-            if closure is not None:
+            if steps == ():
                 seen_fused += 1
-                assert steps == ()
-                assert callable(closure)
+                assert callable(slot)
+                assert slot not in on_entry
             else:
                 assert steps == ref[0]
             # Traced and recovering runs need the plain per-address
@@ -87,6 +100,47 @@ class TestFusedEntries:
         assert stats_fused.inferences == stats_unfused.inferences
         assert [term_to_text(s["R"]) for s in fused.solutions] == \
             [term_to_text(s["R"]) for s in unfused.solutions]
+
+
+class TestFusionOnFirstEntry:
+    """Blocks are fused when a run first enters them, so translation
+    compiles nothing and runs that never call a fused slot (traced,
+    recovering) compile nothing either."""
+
+    def test_only_blocks_that_run_are_compiled(self):
+        cache = ImageCache()
+        installed = fusable = 0
+        for bench in SUITE.values():
+            machine = machine_over(cache.get(bench.source_pure,
+                                             bench.query_pure))
+            compiles = SuperopFuser.compiles_performed
+            machine.run(machine.image.entry,
+                        collect_all=bench.all_solutions,
+                        answer_names=machine.image.query_variable_names)
+            closures, slots = fused_slots(machine._predecoded)
+            assert SuperopFuser.compiles_performed - compiles == closures
+            assert machine._predecoded.fused_count == closures
+            installed += closures
+            fusable += slots
+        assert 0 < installed < fusable
+
+    def test_traced_and_recovering_runs_compile_nothing(self):
+        bench = SUITE["nrev1"]
+        for observe in ("recovery", "tracer"):
+            compiles = SuperopFuser.compiles_performed
+            if observe == "recovery":
+                machine = run_query(bench.source_pure, bench.query_pure,
+                                    use_cache=False, recovery=True).machine
+            else:
+                machine = machine_over(ImageCache().get(bench.source_pure,
+                                                        bench.query_pure))
+                attach(machine, MacrocodeTracer())
+                run_loaded(machine)
+            assert machine.solutions
+            assert SuperopFuser.compiles_performed == compiles
+            closures, slots = fused_slots(machine._predecoded)
+            assert closures == 0 < slots
+            assert machine._predecoded.fused_count == 0
 
 
 class TestGenerationStaleness:
