@@ -318,19 +318,15 @@ class HeapCompactor:
         """Rewrite GLOBAL-zone pointers in every initialised cell that
         is not itself a heap cell (local stack, control stack, trail,
         static/system areas)."""
-        store = self.machine.memory.store
-        chunk_words = store.CHUNK_WORDS
-        for key, chunk in store._chunks.items():
-            chunk_base = key * chunk_words
-            for offset, cell in enumerate(chunk):
-                if cell is None:
-                    continue
-                address = chunk_base + offset
-                if heap_base <= address < old_top:
-                    continue
-                moved = relocate(cell)
-                if moved is not cell:
-                    chunk[offset] = moved
+        words = self.machine.memory.store.words
+        # Replacing the value of an existing key does not resize the
+        # dict, so it is safe while iterating.
+        for address, cell in words.items():
+            if heap_base <= address < old_top:
+                continue
+            moved = relocate(cell)
+            if moved is not cell:
+                words[address] = moved
 
 
 #: pointer types a compaction must forward when they target the heap.

@@ -49,7 +49,7 @@ from repro.core.opcodes import ArithOp, Op, TestOp
 from repro.core.registers import RegisterFile, ShadowState
 from repro.core.statistics import RunStats
 from repro.core.symbols import SymbolTable
-from repro.core.tags import ADDRESS_MASK, Type, Zone, tag_zone
+from repro.core.tags import Type, Zone, tag_zone
 from repro.core.trail import Trail
 from repro.core.word import (
     Word, make_code_ptr, make_data_ptr, make_float, make_functor, make_int,
@@ -501,26 +501,23 @@ class Machine:
                 # the fast path, worth saving the call frame.
                 hit = False
                 if (te_ok and machine._undo_log is None
-                        and not store.track_dirty
                         and not te.write_protected):
-                    c = chunks.get(top >> chunk_shift)
-                    if c is not None:
-                        if sectioned:
-                            j = te_base | (top & 1023)
-                            t = top >> 10
-                        else:
-                            j = top & 8191
-                            t = top >> 13
-                        if (dtags[j] == t
-                                and te.low_bound <= top < te.high_bound
-                                and 0 <= top <= amask):
-                            te.checks += 1
-                            c[top & chunk_mask] = w
-                            ds.writes += 1
-                            ds.write_hits += 1
-                            ddirty[j] = True
-                            stats.data_writes += 1
-                            hit = True
+                    if sectioned:
+                        j = te_base | (top & 1023)
+                        t = top >> 10
+                    else:
+                        j = top & 8191
+                        t = top >> 13
+                    if (dtags[j] == t
+                            and te.low_bound <= top < te.high_bound
+                            and 0 <= top < size):
+                        te.checks += 1
+                        dwords[top] = w
+                        ds.writes += 1
+                        ds.write_hits += 1
+                        ddirty[j] = True
+                        stats.data_writes += 1
+                        hit = True
                 if not hit:
                     write(top, w, TRAIL)
                 trail.top = top + 1
@@ -588,10 +585,8 @@ class Machine:
         set_x = self.regs.set_x
         reg_x = self.regs.x
         memory = self.memory
-        store = memory.store
-        chunks = store._chunks
-        chunk_shift = store.CHUNK_SHIFT
-        chunk_mask = store.CHUNK_MASK
+        dwords = memory.store.words
+        size = memory.store.size
         dcache = memory.data_cache
         dtags = dcache.tags
         ddirty = dcache.dirty
@@ -600,7 +595,6 @@ class Machine:
         timing = memory.timing_enabled
         zone_checking = memory.zones.enabled
         DPT = Type.DATA_PTR
-        amask = ADDRESS_MASK
 
         def specialise(zone):
             """Constant-zone read/write with the cache/zone hit path
@@ -608,8 +602,8 @@ class Machine:
             (repro.core.superops) generates for build-time-constant
             zones: every counter commits only after all conditions
             passed, and any edge — timing or zone checking off, armed
-            undo log, dirty-chunk tracking, write protection, missing
-            chunk, uninitialised cell, bounds, cache miss — falls back
+            undo log, write protection, uninitialised cell, zone bounds,
+            a write at or past the store's end, cache miss — falls back
             to the generic fused accessor, which owns those cases.
             ``allowed_types`` is never reassigned after construction,
             so the membership test is baked; limits and protection are
@@ -621,50 +615,45 @@ class Machine:
 
             def rd(a):
                 if ok:
-                    c = chunks.get(a >> chunk_shift)
-                    if c is not None:
-                        if sectioned:
-                            j = base | (a & 1023)
-                            t = a >> 10
-                        else:
-                            j = a & 8191
-                            t = a >> 13
-                        if dtags[j] == t:
-                            w = c[a & chunk_mask]
-                            if (w is not None
-                                    and entry.low_bound <= a
-                                    < entry.high_bound
-                                    and 0 <= a <= amask):
-                                entry.checks += 1
-                                ds.reads += 1
-                                ds.read_hits += 1
-                                stats.data_reads += 1
-                                return w
+                    if sectioned:
+                        j = base | (a & 1023)
+                        t = a >> 10
+                    else:
+                        j = a & 8191
+                        t = a >> 13
+                    if dtags[j] == t:
+                        # A written cell lies inside the data space, so
+                        # a hit needs no address-range test.
+                        w = dwords.get(a)
+                        if (w is not None
+                                and entry.low_bound <= a
+                                < entry.high_bound):
+                            entry.checks += 1
+                            ds.reads += 1
+                            ds.read_hits += 1
+                            stats.data_reads += 1
+                            return w
                 return read(a, zone)
 
             def wr(a, w):
                 if (ok and machine._undo_log is None
-                        and not store.track_dirty
                         and not entry.write_protected):
-                    c = chunks.get(a >> chunk_shift)
-                    if c is not None:
-                        if sectioned:
-                            j = base | (a & 1023)
-                            t = a >> 10
-                        else:
-                            j = a & 8191
-                            t = a >> 13
-                        if (dtags[j] == t
-                                and entry.low_bound <= a
-                                < entry.high_bound
-                                and 0 <= a <= amask):
-                            entry.checks += 1
-                            c[a & chunk_mask] = w
-                            ds.writes += 1
-                            ds.write_hits += 1
-                            ddirty[j] = True
-                            stats.data_writes += 1
-                            return
+                    if sectioned:
+                        j = base | (a & 1023)
+                        t = a >> 10
+                    else:
+                        j = a & 8191
+                        t = a >> 13
+                    if (dtags[j] == t
+                            and entry.low_bound <= a < entry.high_bound
+                            and 0 <= a < size):
+                        entry.checks += 1
+                        dwords[a] = w
+                        ds.writes += 1
+                        ds.write_hits += 1
+                        ddirty[j] = True
+                        stats.data_writes += 1
+                        return
                 write(a, w, zone)
 
             return rd, wr, entry, ok
@@ -768,8 +757,8 @@ class Machine:
             # The frame's 9 + arity words go to consecutive ascending
             # addresses, so wr_control's hit path is expanded once as a
             # loop (per-word fallback keeps access order and counters
-            # exact).  The undo-log/dirty-tracking/protection guards
-            # hoist out of the loop: no handler can run between the
+            # exact).  The undo-log and protection guards hoist out of
+            # the loop: no handler can run between the
             # writes of one instruction without recovery, and a run with
             # recovery always has the undo log armed, which routes every
             # word through the generic accessor.
@@ -781,29 +770,24 @@ class Machine:
                 words.append(reg_x(i))
             a = base
             if (ce_ok and machine._undo_log is None
-                    and not store.track_dirty
                     and not ce.write_protected):
                 for w in words:
-                    c = chunks.get(a >> chunk_shift)
-                    hit = False
-                    if c is not None:
-                        if sectioned:
-                            j = ce_base | (a & 1023)
-                            t = a >> 10
-                        else:
-                            j = a & 8191
-                            t = a >> 13
-                        if (dtags[j] == t
-                                and ce.low_bound <= a < ce.high_bound
-                                and 0 <= a <= amask):
-                            ce.checks += 1
-                            c[a & chunk_mask] = w
-                            ds.writes += 1
-                            ds.write_hits += 1
-                            ddirty[j] = True
-                            stats.data_writes += 1
-                            hit = True
-                    if not hit:
+                    if sectioned:
+                        j = ce_base | (a & 1023)
+                        t = a >> 10
+                    else:
+                        j = a & 8191
+                        t = a >> 13
+                    if (dtags[j] == t
+                            and ce.low_bound <= a < ce.high_bound
+                            and 0 <= a < size):
+                        ce.checks += 1
+                        dwords[a] = w
+                        ds.writes += 1
+                        ds.write_hits += 1
+                        ddirty[j] = True
+                        stats.data_writes += 1
+                    else:
                         write(a, w, CONTROL)
                     a += 1
             else:
@@ -1465,16 +1449,12 @@ class Machine:
     # checkpoint / restore
     # ------------------------------------------------------------------
 
-    def checkpoint(self, label: str = "",
-                   since: Optional[MachineCheckpoint] = None) \
-            -> MachineCheckpoint:
-        """Snapshot all dynamic state (registers, stacks, trail, zone
-        limits, dirty store pages, statistics, answers, timing state)
-        so the run can be rolled back after a fatal trap or watchdog
-        stop, or resumed in another process.  Pass the previous
-        checkpoint as ``since`` (with the store's ``track_dirty`` flag
-        armed) for incremental capture."""
-        return MachineCheckpoint.capture(self, label=label, since=since)
+    def checkpoint(self, label: str = "") -> MachineCheckpoint:
+        """Snapshot all dynamic state (registers, the written store
+        cells that hold the stacks and trail, zone limits, statistics,
+        answers, timing state) so the run can be rolled back after a
+        fatal trap or watchdog stop, or resumed in another process."""
+        return MachineCheckpoint.capture(self, label=label)
 
     def restore(self, checkpoint: MachineCheckpoint) -> None:
         """Roll the machine back to ``checkpoint``; :meth:`resume`

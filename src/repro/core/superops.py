@@ -57,10 +57,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.opcodes import ArithOp, Op, TestOp
 from repro.core.registers import X_REGISTERS
-from repro.core.tags import ADDRESS_MASK
 from repro.core.word import Type, Word, Zone
 from repro.errors import ArithmeticError_, MachineError
-from repro.memory.store import DataStore
 
 
 class _Demote(Exception):
@@ -192,8 +190,8 @@ class SuperopFuser:
             "tags": tags,
             "cs": memory.code_cache.stats,
             "ZN": memory.zones,
-            "ST": memory.store,
-            "chunks": memory.store._chunks,
+            "dwords": memory.store.words,
+            "DSIZE": memory.store.size,
             "dtags": data_cache.tags,
             "ddirty": data_cache.dirty,
             "ds": data_cache.stats,
@@ -1136,9 +1134,10 @@ class _Chunk:
         """Emit a data read at a build-time-constant zone with the
         cache/zone *hit* path inlined (the layered path's counters
         committed only once every condition has passed); any edge —
-        timing off, zone checking off, missing chunk, uninitialised
-        cell, zone bounds, cache miss — falls back to the fused read
-        closure, which owns those cases."""
+        timing off, zone checking off, cache miss, uninitialised cell,
+        zone bounds — falls back to the fused read closure, which owns
+        those cases.  A written cell lies inside the data space, so the
+        hit needs no address-range test."""
         fuser = self.fuser
         zone = getattr(Zone, zone_name)
         entry = fuser._zone_entries.get(zone)
@@ -1147,26 +1146,22 @@ class _Chunk:
             self.put(f"{target} = read({addr}, {zone_name})", indent)
             return
         self.use("ze")
-        self.use_env("chunks", "dtags", "ds", "DPT")
+        self.use_env("dwords", "dtags", "ds", "DPT")
         en = self.gen.const(entry, "Z")
         jexpr, shift = fuser._data_index(zone, "ra_")
         self.put(f"ra_ = {addr}", indent)
         self.put(f"{target} = None", indent)
-        self.put("if timing and ze:", indent)
-        self.put(f"    rk_ = chunks.get(ra_ >> "
-                 f"{DataStore.CHUNK_SHIFT})", indent)
-        self.put(f"    if rk_ is not None and dtags[{jexpr}] == "
-                 f"ra_ >> {shift}:", indent)
-        self.put(f"        rw_ = rk_[ra_ & {DataStore.CHUNK_MASK}]", indent)
-        self.put(f"        if rw_ is not None "
+        self.put(f"if timing and ze and dtags[{jexpr}] == ra_ >> {shift}:",
+                 indent)
+        self.put("    rw_ = dwords.get(ra_)", indent)
+        self.put(f"    if rw_ is not None "
                  f"and DPT in {en}.allowed_types "
-                 f"and {en}.low_bound <= ra_ < {en}.high_bound "
-                 f"and 0 <= ra_ <= {ADDRESS_MASK}:", indent)
-        self.put(f"            {en}.checks += 1", indent)
-        self.put("            ds.reads += 1", indent)
-        self.put("            ds.read_hits += 1", indent)
-        self.put("            stats.data_reads += 1", indent)
-        self.put(f"            {target} = rw_", indent)
+                 f"and {en}.low_bound <= ra_ < {en}.high_bound:", indent)
+        self.put(f"        {en}.checks += 1", indent)
+        self.put("        ds.reads += 1", indent)
+        self.put("        ds.read_hits += 1", indent)
+        self.put("        stats.data_reads += 1", indent)
+        self.put(f"        {target} = rw_", indent)
         self.put(f"if {target} is None:", indent)
         self.put(f"    {target} = read(ra_, {zone_name})", indent)
 
@@ -1174,8 +1169,8 @@ class _Chunk:
                    indent: int = 0) -> None:
         """Emit a data write at a build-time-constant zone with the
         hit path inlined; anything off the happy path (an armed undo
-        log, dirty-chunk tracking, timing/zone checking off, zone
-        bounds, a missing chunk, cache miss) falls back to the fused
+        log, timing/zone checking off, zone bounds, an address at or
+        past the store's end, cache miss) falls back to the fused
         write closure."""
         fuser = self.fuser
         zone = getattr(Zone, zone_name)
@@ -1185,30 +1180,24 @@ class _Chunk:
             self.put(f"write({addr}, {word}, {zone_name})", indent)
             return
         self.use("ze")
-        self.use_env("chunks", "dtags", "ddirty", "ds", "DPT", "ST")
+        self.use_env("dwords", "DSIZE", "dtags", "ddirty", "ds", "DPT")
         en = self.gen.const(entry, "Z")
         jexpr, shift = fuser._data_index(zone, "wa_")
         self.put(f"wa_ = {addr}", indent)
         self.put(f"ww_ = {word}", indent)
         self.put(f"wj_ = {jexpr}", indent)
         self.put(f"if (timing and ze and m._undo_log is None "
-                 f"and not ST.track_dirty "
                  f"and dtags[wj_] == wa_ >> {shift} "
                  f"and DPT in {en}.allowed_types "
                  f"and not {en}.write_protected "
                  f"and {en}.low_bound <= wa_ < {en}.high_bound "
-                 f"and 0 <= wa_ <= {ADDRESS_MASK}):", indent)
-        self.put(f"    wk_ = chunks.get(wa_ >> "
-                 f"{DataStore.CHUNK_SHIFT})", indent)
-        self.put("    if wk_ is None:", indent)
-        self.put(f"        write(wa_, ww_, {zone_name})", indent)
-        self.put("    else:", indent)
-        self.put(f"        {en}.checks += 1", indent)
-        self.put(f"        wk_[wa_ & {DataStore.CHUNK_MASK}] = ww_", indent)
-        self.put("        ds.writes += 1", indent)
-        self.put("        ds.write_hits += 1", indent)
-        self.put("        ddirty[wj_] = True", indent)
-        self.put("        stats.data_writes += 1", indent)
+                 f"and 0 <= wa_ < DSIZE):", indent)
+        self.put(f"    {en}.checks += 1", indent)
+        self.put("    dwords[wa_] = ww_", indent)
+        self.put("    ds.writes += 1", indent)
+        self.put("    ds.write_hits += 1", indent)
+        self.put("    ddirty[wj_] = True", indent)
+        self.put("    stats.data_writes += 1", indent)
         self.put("else:", indent)
         self.put(f"    write(wa_, ww_, {zone_name})", indent)
 

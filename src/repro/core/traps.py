@@ -235,8 +235,8 @@ class MachineCheckpoint:
     """A restorable snapshot of everything dynamic in a machine.
 
     Captures the register file, the dedicated state registers, the
-    dirty store pages (the chunked backing store, which holds all four
-    stacks and the trail contents), the zone limits, run statistics and
+    written store cells (which hold all four stacks and the trail
+    contents), the zone limits, run statistics and
     collected solutions — plus, since the resilient-serving work, the
     *timing* state (cache tags, MMU translations, traffic counters via
     :meth:`~repro.memory.memory_system.MemorySystem.timing_state`) and
@@ -249,11 +249,9 @@ class MachineCheckpoint:
     (solutions **and** ``RunStats``) to the uninterrupted one.
 
     Checkpoints are pickle-safe (words, zone enums and trap reports all
-    pickle) and support **incremental capture**: pass the previous
-    checkpoint as ``since`` while the store's ``track_dirty`` flag is
-    armed and only chunks written since that capture are copied; clean
-    chunks share the previous snapshot's (never mutated) lists.
-    ``copied_chunks`` records which chunk keys were actually copied.
+    pickle).  Every capture is full: ``store_words`` is a copy of the
+    store's dict of written cells, so its size follows what the run
+    wrote, not the address space it spans.
 
     Use :meth:`repro.core.machine.Machine.checkpoint` /
     :meth:`~repro.core.machine.Machine.restore`; after a restore,
@@ -264,7 +262,7 @@ class MachineCheckpoint:
     label: str
     state: Dict[str, int]                      # named machine registers
     registers: List[Word]                      # the 64-word register file
-    store_chunks: Dict[int, List[Optional[Word]]]
+    store_words: Dict[int, Word]               # address -> written cell
     zone_limits: Dict[Zone, Tuple[int, int, bool]]
     stats: object                              # RunStats copy
     solutions: List[dict]
@@ -273,7 +271,6 @@ class MachineCheckpoint:
     collect_all: bool
     timing: Optional[Dict[str, object]] = None
     host: Optional[Dict[str, object]] = None
-    copied_chunks: Tuple[int, ...] = ()
 
     @property
     def cycles(self) -> int:
@@ -281,18 +278,9 @@ class MachineCheckpoint:
         return self.state["cycles"]
 
     @classmethod
-    def capture(cls, machine, label: str = "",
-                since: Optional["MachineCheckpoint"] = None) \
-            -> "MachineCheckpoint":
-        """Snapshot ``machine`` (words are immutable, so page and
-        register copies are shallow).
-
-        With ``since`` (a previous capture of the *same run*) and the
-        store's dirty tracking armed, chunks untouched since that
-        capture are shared rather than copied; the dirty set is
-        consumed — it restarts empty so the next delta is relative to
-        this checkpoint.
-        """
+    def capture(cls, machine, label: str = "") -> "MachineCheckpoint":
+        """Snapshot ``machine`` (words are immutable, so the store and
+        register copies are shallow)."""
         shadow = machine.shadow
         state = {
             "p": machine.p, "cp": machine.cp, "e": machine.e,
@@ -312,24 +300,6 @@ class MachineCheckpoint:
             "stop_on_solution": machine.stop_on_solution,
             "solution_paused": machine.solution_paused,
         }
-        store = machine.memory.store
-        if since is not None and store.track_dirty:
-            dirty = store.dirty_chunks
-            base = since.store_chunks
-            chunks = {}
-            copied = []
-            for key, chunk in store._chunks.items():
-                if key in dirty or key not in base:
-                    chunks[key] = list(chunk)
-                    copied.append(key)
-                else:
-                    chunks[key] = base[key]
-        else:
-            chunks = {key: list(chunk)
-                      for key, chunk in store._chunks.items()}
-            copied = sorted(store._chunks)
-        if store.track_dirty:
-            store.dirty_chunks.clear()
         zones = {zone: (entry.min_address, entry.max_address,
                         entry.write_protected)
                  for zone, entry in machine.memory.zones.entries.items()}
@@ -351,7 +321,7 @@ class MachineCheckpoint:
             label=label,
             state=state,
             registers=list(machine.regs.cells),
-            store_chunks=chunks,
+            store_words=dict(machine.memory.store.words),
             zone_limits=zones,
             stats=machine.stats.copy(),
             solutions=[dict(s) for s in machine.solutions],
@@ -360,7 +330,6 @@ class MachineCheckpoint:
             collect_all=machine.collect_all,
             timing=machine.memory.timing_state(),
             host=host,
-            copied_chunks=tuple(copied),
         )
 
     def restore(self, machine) -> None:
@@ -368,9 +337,9 @@ class MachineCheckpoint:
 
         Safe on the capturing machine and on a fresh machine loaded
         with the same image (resume-on-respawn): every captured
-        container is written in place — the fused data path and the
-        run loops hold references to the store's chunk dict, the cache
-        tag lists and the recent-PC ring.
+        container is written in place — the fused data path, generated
+        superop code and the run loops hold references to the store's
+        ``words`` dict, the cache tag lists and the recent-PC ring.
         """
         state = self.state
         machine.p = state["p"]
@@ -398,11 +367,9 @@ class MachineCheckpoint:
         machine.stop_on_solution = state.get("stop_on_solution", False)
         machine.solution_paused = state.get("solution_paused", False)
         machine.regs.cells[:] = self.registers
-        store = machine.memory.store
-        store._chunks.clear()
-        for key, chunk in self.store_chunks.items():
-            store._chunks[key] = list(chunk)
-        store.dirty_chunks.clear()
+        words = machine.memory.store.words
+        words.clear()
+        words.update(self.store_words)
         zones = machine.memory.zones
         for zone, (low, high, protected) in self.zone_limits.items():
             zones.set_limits(zone, low, high)

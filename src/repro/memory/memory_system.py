@@ -118,8 +118,12 @@ class MemorySystem:
         one run when ``fast_path`` is on and removes it afterwards; the
         ablation (``fast_path=False``) never sees them.  Built per run
         because the closures capture the run's ``RunStats``; everything
-        else captured (zone table, store chunks, cache tag/dirty lists,
-        counters objects) is mutated in place and never rebound.  The
+        else captured (zone table, the store's ``words`` dict, cache
+        tag/dirty lists, counters objects) is mutated in place and never
+        rebound.  A hit-path write stores straight into ``words`` only
+        below the store's ``size``; a zone moved past the data space
+        (:meth:`ZoneChecker.set_limits` allows it) sends the write to
+        :meth:`DataStore.write`, which raises ``IndexError``.  The
         property tests in ``tests/test_props_fastpath.py`` pin the
         equivalence, including under injected faults.
         """
@@ -133,9 +137,8 @@ class MemorySystem:
                            for i in range(16))
         zone_check = zones.check
         store = self.store
-        chunks = store._chunks
-        chunk_shift = store.CHUNK_SHIFT
-        chunk_mask = store.CHUNK_MASK
+        dwords = store.words
+        size = store.size
         timing = self.timing_enabled
         cache = self.data_cache
         cstats = cache.stats
@@ -162,8 +165,7 @@ class MemorySystem:
                     entry.checks += 1
                 else:
                     zone_check(zone, address, word_type, False)  # raises
-            chunk = chunks.get(address >> chunk_shift)
-            word = chunk[address & chunk_mask] if chunk is not None else None
+            word = dwords.get(address)
             if word is None:
                 store.uninitialised_reads += 1
                 word = ZERO_WORD
@@ -200,21 +202,22 @@ class MemorySystem:
                 # Before anything else, exactly like Machine._write: a
                 # trap mid-instruction must be able to undo writes that
                 # succeeded functionally before the fault.
-                undo.append((address, store.peek(address)))
+                undo.append((address, dwords.get(address)))
             if zone_enabled:
                 entry = zone_entry[zone]
-                if (entry is not None and 0 <= address <= address_mask
+                if (entry is not None and 0 <= address < size
                         and word_type in entry.allowed_types
                         and not entry.write_protected
                         and entry.low_bound <= address < entry.high_bound):
                     entry.checks += 1
+                    dwords[address] = word
                 else:
-                    zone_check(zone, address, word_type, True)  # raises
-            chunk = chunks.get(address >> chunk_shift)
-            if chunk is None:
-                store.write(address, word)  # allocates the chunk
+                    # Raises on a violation; an address its zone admits
+                    # past the store's end raises in store.write.
+                    zone_check(zone, address, word_type, True)
+                    store.write(address, word)
             else:
-                chunk[address & chunk_mask] = word
+                store.write(address, word)
             if not timing:
                 stats.data_writes += 1
                 return
@@ -273,9 +276,7 @@ class MemorySystem:
                             and REF_TYPE in entry.allowed_types
                             and entry.low_bound <= address
                             < entry.high_bound):
-                        chunk = chunks.get(address >> chunk_shift)
-                        if chunk is not None:
-                            cell = chunk[address & chunk_mask]
+                        cell = dwords.get(address)
                 if cell is not None:
                     if sectioned:
                         index = ((zone & 7) << 10) | (address & 1023)
@@ -299,19 +300,6 @@ class MemorySystem:
                         and cell.value == address:
                     return cell             # unbound variable
                 word = cell
-
-        if store.track_dirty:
-            # Incremental-checkpoint variant, chosen once at build time
-            # so the idle path above never pays even a flag test per
-            # write.  The wrapper only records the chunk key; the
-            # store.write fallback inside ``write`` marks too, which is
-            # harmless (it is a set).
-            dirty_chunks = store.dirty_chunks
-            plain_write = write
-
-            def write(address, word, zone, word_type=DATA_PTR):  # noqa: F811
-                dirty_chunks.add(address >> chunk_shift)
-                plain_write(address, word, zone, word_type)
 
         return read, write, deref
 
@@ -461,13 +449,12 @@ class MemorySystem:
         layout-pristine zone limits and a clean MMU, or its simulated
         statistics diverge from a fresh machine's.  Every container is
         mutated in place, never rebound — the fused data path and the
-        run loop's code probe capture ``store._chunks``,
+        run loop's code probe capture ``store.words``,
         ``data_cache.tags``/``dirty`` and ``code_cache.tags`` by
         reference.
         """
-        self.store._chunks.clear()
+        self.store.words.clear()
         self.store.uninitialised_reads = 0
-        self.store.dirty_chunks.clear()
         self.zones.reset_limits()
         self.data_cache.tags[:] = [None] * DataCache.TOTAL_WORDS
         self.data_cache.dirty[:] = [False] * DataCache.TOTAL_WORDS

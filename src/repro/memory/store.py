@@ -13,45 +13,35 @@ counts them so tests can assert none happened on correct programs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional
 
 from repro.core.word import Word, ZERO_WORD
 from repro.memory.layout import DATA_SPACE_WORDS
 
 
 class DataStore:
-    """A flat word-addressed array over the 4 M-word data space.
+    """A word-addressed store over the 4 M-word data space.
 
-    Backed by chunked lists allocated on demand so a freshly created
-    machine does not pay for 4 M Python slots.
+    Only written cells exist: ``words`` maps an address to its
+    :class:`Word`, and an absent address is a never-written cell.  A
+    fresh or reset store is an empty dict, and a checkpoint copies
+    exactly the cells a run wrote (tens to a few thousand on the
+    corpus, against the 4 M addressable).
 
-    When ``track_dirty`` is on, every write records its chunk key in
-    ``dirty_chunks`` so an incremental checkpoint
-    (:class:`repro.core.traps.MachineCheckpoint`) can copy only the
-    chunks touched since the previous capture.  Off by default: the
-    flag test is the only cost, and the serving layer arms it solely
-    for checkpointed runs.
+    The fused data and control paths and generated superop code bind
+    ``words`` directly, so it is mutated in place and never rebound.
+    Their inlined stores test ``0 <= address < size`` themselves and
+    leave every other address to :meth:`write`, which raises.
     """
-
-    #: Chunk geometry, the one place it is spelled: ``address >>
-    #: CHUNK_SHIFT`` keys an address's chunk and ``address &
-    #: CHUNK_MASK`` is its slot.  The fused data and control paths bind
-    #: these as closure locals and generated superop code bakes them in.
-    CHUNK_SHIFT = 16
-    CHUNK_WORDS = 1 << CHUNK_SHIFT  # 64K words per chunk
-    CHUNK_MASK = CHUNK_WORDS - 1
 
     def __init__(self, size: int = DATA_SPACE_WORDS):
         self.size = size
-        self._chunks: Dict[int, List[Optional[Word]]] = {}
+        self.words: Dict[int, Word] = {}
         self.uninitialised_reads = 0
-        self.track_dirty = False
-        self.dirty_chunks: Set[int] = set()
 
     def read(self, address: int) -> Word:
         """Fetch the word at ``address``."""
-        chunk = self._chunks.get(address >> self.CHUNK_SHIFT)
-        word = None if chunk is None else chunk[address & self.CHUNK_MASK]
+        word = self.words.get(address)
         if word is None:
             self.uninitialised_reads += 1
             return ZERO_WORD
@@ -59,16 +49,9 @@ class DataStore:
 
     def write(self, address: int, word: Word) -> None:
         """Store ``word`` at ``address``."""
-        key = address >> self.CHUNK_SHIFT
-        chunk = self._chunks.get(key)
-        if chunk is None:
-            if not 0 <= address < self.size:
-                raise IndexError(f"address {address:#x} outside data space")
-            chunk = [None] * self.CHUNK_WORDS
-            self._chunks[key] = chunk
-        if self.track_dirty:
-            self.dirty_chunks.add(key)
-        chunk[address & self.CHUNK_MASK] = word
+        if not 0 <= address < self.size:
+            raise IndexError(f"address {address:#x} outside data space")
+        self.words[address] = word
 
     def peek(self, address: int) -> Optional[Word]:
         """Raw cell contents, ``None`` when never written.
@@ -77,8 +60,7 @@ class DataStore:
         it is for host-side bookkeeping (the trap replay's write-undo
         log), not simulated accesses.
         """
-        chunk = self._chunks.get(address >> self.CHUNK_SHIFT)
-        return None if chunk is None else chunk[address & self.CHUNK_MASK]
+        return self.words.get(address)
 
     def poke(self, address: int, word: Optional[Word]) -> None:
         """Raw overwrite; ``None`` restores the never-written state.
@@ -86,21 +68,11 @@ class DataStore:
         Host-side counterpart of :meth:`peek` — no zone checks, no
         cycle accounting.
         """
-        key = address >> self.CHUNK_SHIFT
-        chunk = self._chunks.get(key)
-        if chunk is None:
-            if word is None:
-                return
-            if not 0 <= address < self.size:
-                raise IndexError(f"address {address:#x} outside data space")
-            chunk = [None] * self.CHUNK_WORDS
-            self._chunks[key] = chunk
-        if self.track_dirty:
-            self.dirty_chunks.add(key)
-        chunk[address & self.CHUNK_MASK] = word
+        if word is None:
+            self.words.pop(address, None)
+        else:
+            self.write(address, word)
 
     def initialised(self, address: int) -> bool:
         """Whether ``address`` has been written (test inspection)."""
-        chunk = self._chunks.get(address >> self.CHUNK_SHIFT)
-        return (chunk is not None
-                and chunk[address & self.CHUNK_MASK] is not None)
+        return address in self.words

@@ -68,9 +68,9 @@ Resilience (docs/RESILIENCE.md)
     (:mod:`repro.serve.retry`); with a :class:`RetryPolicy`,
     ``run_many`` re-dispatches transiently-failed slots after
     deterministic exponential backoff.  With ``checkpoint_every``, a
-    worker executes long queries in cycle slices, shipping an
-    incremental :class:`~repro.core.traps.MachineCheckpoint` to the
-    parent at each boundary; a retry after a crash **resumes** the
+    worker executes long queries in cycle slices, shipping a
+    :class:`~repro.core.traps.MachineCheckpoint` to the parent at each
+    boundary; a retry after a crash **resumes** the
     query on a fresh worker from its last checkpoint, bit-identical to
     an uninterrupted run.  ``max_queue_depth`` bounds admission —
     excess slots fail fast with ``QueryError(kind="Shed")`` instead of
@@ -372,7 +372,7 @@ class EnginePool:
         dead) incarnation instead of starting over; with
         ``opts["checkpoint_every"]`` and an ``on_checkpoint`` callback,
         execution proceeds in cycle slices and each boundary's
-        incremental checkpoint is handed to the callback.  Raises
+        checkpoint is handed to the callback.  Raises
         whatever the run raises — the caller owns failure capture.
         """
         inject = opts.get("inject")
@@ -454,8 +454,6 @@ class EnginePool:
                 targets.append(cycles - cycles % check + check)
             return min(targets) if targets else None
 
-        previous = [resume_from]
-
         def on_stop(m: Machine) -> None:
             # Liveness first: a worker slicing a long query signals the
             # parent even when this boundary is about to raise.
@@ -468,31 +466,16 @@ class EnginePool:
                 raise DeadlineAbandoned(
                     opts.get("deadline_kind", "WallTimeout"), m.cycles)
             if every is not None and on_checkpoint is not None:
-                ckpt = MachineCheckpoint.capture(m, since=previous[0])
-                previous[0] = ckpt
-                on_checkpoint(ckpt)
+                on_checkpoint(MachineCheckpoint.capture(m))
 
-        track = every is not None and on_checkpoint is not None
-        store = machine.memory.store
-        if track:
-            # Arm dirty-page tracking before the run builds its fused
-            # write closure, so post-checkpoint captures copy only the
-            # chunks the run actually touched since the last one.
-            store.track_dirty = True
-            store.dirty_chunks.clear()
-        try:
-            if resume_from is None:
-                stats = machine.run_sliced(
-                    image.entry, next_stop, on_stop,
-                    collect_all=collect_all,
-                    answer_names=image.query_variable_names)
-            else:
-                stats = machine.resume_sliced(next_stop, on_stop)
-            return machine, stats, time.perf_counter() - started
-        finally:
-            if track:
-                store.track_dirty = False
-                store.dirty_chunks.clear()
+        if resume_from is None:
+            stats = machine.run_sliced(
+                image.entry, next_stop, on_stop,
+                collect_all=collect_all,
+                answer_names=image.query_variable_names)
+        else:
+            stats = machine.resume_sliced(next_stop, on_stop)
+        return machine, stats, time.perf_counter() - started
 
 
 def _capture_error(err: BaseException,

@@ -1,16 +1,18 @@
 """Durable checkpoint/resume (ISSUE 5 tentpole): cycle-sliced
-execution is observation-equivalent to a plain run, every periodic
-checkpoint pickles and resumes bit-identically on a *fresh* machine,
-and incremental capture copies only the chunks dirtied since the
-previous checkpoint."""
+execution is observation-equivalent to a plain run, and every periodic
+checkpoint pickles and resumes bit-identically on a *fresh* machine."""
 
 import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.machine import Machine
+from repro.core.machine import CP_ARGS, Machine
+from repro.core.tags import Zone
 from repro.core.traps import MachineCheckpoint
+from repro.core.word import ZERO_WORD, make_int
+from repro.memory.layout import DATA_SPACE_WORDS
 from repro.recovery import FaultInjector, install_default_recovery
 from repro.serve import ImageCache
 
@@ -56,23 +58,11 @@ def _run_checkpointed(image, every, inject_seed=None):
     (signature, [checkpoints])."""
     machine = _fresh(image, inject_seed)
     checkpoints = []
-    previous = [None]
-
-    def on_stop(m):
-        ckpt = MachineCheckpoint.capture(m, since=previous[0])
-        previous[0] = ckpt
-        checkpoints.append(ckpt)
-
-    machine.memory.store.track_dirty = True
-    try:
-        stats = machine.run_sliced(
-            image.entry,
-            lambda cycles: cycles - cycles % every + every,
-            on_stop,
-            answer_names=image.query_variable_names)
-    finally:
-        machine.memory.store.track_dirty = False
-        machine.memory.store.dirty_chunks.clear()
+    stats = machine.run_sliced(
+        image.entry,
+        lambda cycles: cycles - cycles % every + every,
+        lambda m: checkpoints.append(MachineCheckpoint.capture(m)),
+        answer_names=image.query_variable_names)
     return _signature(machine, stats), checkpoints
 
 
@@ -133,45 +123,11 @@ def test_resume_sliced_continues_the_same_grid():
     pickle.loads(pickle.dumps(checkpoints[1])).restore(machine)
     machine.max_cycles = budget
     seen = []
-    machine.memory.store.track_dirty = True
-    try:
-        stats = machine.resume_sliced(
-            lambda cycles: cycles - cycles % 1_000 + 1_000,
-            lambda m: seen.append(m.cycles))
-    finally:
-        machine.memory.store.track_dirty = False
-        machine.memory.store.dirty_chunks.clear()
+    stats = machine.resume_sliced(
+        lambda cycles: cycles - cycles % 1_000 + 1_000,
+        lambda m: seen.append(m.cycles))
     assert seen == expected_later
     assert _signature(machine, stats) == _reference(image)
-
-
-# -- incremental capture -----------------------------------------------------
-
-def test_incremental_capture_copies_only_dirty_chunks():
-    machine = Machine()
-    store = machine.memory.store
-    store.track_dirty = True
-    try:
-        from repro.core.word import make_int
-        words = store.CHUNK_WORDS
-        bases = [words, 2 * words, 3 * words]   # three distinct chunks
-        for base in bases:
-            store.poke(base + 4, make_int(base))
-        full = MachineCheckpoint.capture(machine)
-        assert sorted(full.copied_chunks) == [b // words for b in bases]
-
-        store.poke(bases[1] + 8, make_int(99))
-        delta = MachineCheckpoint.capture(machine, since=full)
-        assert list(delta.copied_chunks) == [bases[1] // words]
-        # Clean chunks are shared with the baseline, not recopied.
-        for base in (bases[0], bases[2]):
-            key = base // words
-            assert delta.store_chunks[key] is full.store_chunks[key]
-        assert delta.store_chunks[bases[1] // words] \
-            is not full.store_chunks[bases[1] // words]
-    finally:
-        store.track_dirty = False
-        store.dirty_chunks.clear()
 
 
 def test_checkpoint_pickle_round_trip_is_faithful():
@@ -185,7 +141,85 @@ def test_checkpoint_pickle_round_trip_is_faithful():
     assert clone.solutions == ckpt.solutions
     assert clone.timing is not None
     assert clone.host is not None
-    assert set(clone.store_chunks) == set(ckpt.store_chunks)
+    assert ckpt.store_words
+    assert clone.store_words == ckpt.store_words
+
+
+# -- writes past the data space ---------------------------------------------
+
+def _past_the_data_space(zone, fast_path=True):
+    """A machine whose ``zone`` reaches past the data space (set_limits
+    does not validate) and whose data cache already holds the first
+    line there, so only the store's own bound stands between a hit-path
+    write and a cell outside the data space."""
+    machine = Machine(fast_path=fast_path)
+    zones = machine.memory.zones
+    zones.set_limits(zone, zones.entries[zone].min_address,
+                     DATA_SPACE_WORDS + 0x1000)
+    if fast_path:
+        machine._read, machine._write, machine.deref = \
+            machine.memory.fused_data_path(machine)
+    assert machine._read(DATA_SPACE_WORDS, zone) is ZERO_WORD
+    return machine
+
+
+@pytest.mark.parametrize("fast_path", [True, False])
+def test_write_past_the_data_space_raises(fast_path):
+    machine = _past_the_data_space(Zone.TRAIL, fast_path)
+    with pytest.raises(IndexError):
+        machine._write(DATA_SPACE_WORDS, make_int(1), Zone.TRAIL)
+    assert machine.memory.store.words == {}
+
+
+def _trail_push(machine, bind, create_choice_point):
+    heap = machine._stack_base[Zone.GLOBAL]
+    machine.hb = heap + 1               # older than HB: trailed
+    machine.trail.top = DATA_SPACE_WORDS
+    bind(heap, Zone.GLOBAL, make_int(1))
+
+
+def _binding(machine, bind, create_choice_point):
+    bind(DATA_SPACE_WORDS, Zone.GLOBAL, make_int(1))
+
+
+def _choice_point(machine, bind, create_choice_point):
+    machine.b = DATA_SPACE_WORDS - CP_ARGS  # the next frame starts at the end
+    create_choice_point(0, 0, machine.h, 0, 0)
+
+
+@pytest.mark.parametrize("zone, write", [(Zone.TRAIL, _trail_push),
+                                         (Zone.GLOBAL, _binding),
+                                         (Zone.CONTROL, _choice_point)],
+                         ids=["trail_push", "binding", "choice_point"])
+def test_fused_control_path_write_past_the_data_space_raises(zone, write):
+    machine = _past_the_data_space(zone)
+    bind, _, _, create_choice_point, _, _ = machine._fused_control_path()
+    with pytest.raises(IndexError):
+        write(machine, bind, create_choice_point)
+    assert max(machine.memory.store.words, default=0) < DATA_SPACE_WORDS
+
+
+def test_fused_block_heap_push_past_the_data_space_raises():
+    """Mid-run, the heap zone is stretched past the data space, H moved
+    there and its cache line loaded: the next heap push, from a fused
+    block of the list-building loop, must raise, not store."""
+    image = _image("mklist(300, L)")
+    machine = _fresh(image)
+    moved = []
+
+    def on_stop(m):
+        m.memory.zones.set_limits(Zone.GLOBAL, m._stack_base[Zone.GLOBAL],
+                                  DATA_SPACE_WORDS + 0x1000)
+        m.h = DATA_SPACE_WORDS
+        m._read(DATA_SPACE_WORDS, Zone.GLOBAL)
+        moved.append(m.cycles)
+
+    with pytest.raises(IndexError):
+        machine.run_sliced(image.entry,
+                           lambda cycles: None if moved else 3_000,
+                           on_stop)
+    assert moved and machine._predecoded.fused_count
+    assert max(machine.memory.store.words) < DATA_SPACE_WORDS
 
 
 # -- the property ------------------------------------------------------------

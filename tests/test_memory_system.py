@@ -37,6 +37,8 @@ class TestDataStore:
         assert not store.initialised(GLOBAL_BASE)
         store.write(GLOBAL_BASE, make_int(1))
         assert store.initialised(GLOBAL_BASE)
+        store.poke(GLOBAL_BASE, None)
+        assert not store.initialised(GLOBAL_BASE)
 
 
 class TestMemoryTiming:

@@ -9,8 +9,9 @@ import pickle
 import pytest
 
 from repro.bench.programs import SUITE
+from repro.core.machine import Machine
 from repro.serve import (
-    ChaosPolicy, EngineStore, EngineStoreCorrupt, LeasePolicy,
+    ChaosPolicy, EngineStore, EngineStoreCorrupt, ImageCache, LeasePolicy,
     QueryService, RetryPolicy, SessionError, SessionExpired,
     SessionLoadSpec, SessionReaper, SessionService, UnknownSession,
     run_session_soak, verify_session_chaos_invariant,
@@ -76,6 +77,34 @@ class TestEngine:
         assert first + rest[2:] == expected.solutions
         assert final.solutions == expected.solutions
         assert final.stats == expected.stats
+
+    def test_paused_token_holds_only_the_written_cells(self):
+        """A paused step's token copies the cells the run wrote and
+        nothing else, so it stays small: the seed path's own store
+        writes, recorded one by one, are exactly its store part."""
+        program, query = SUITE["query"].source_pure, "density(C, D)"
+        with QueryService({"query": program}, workers=0) as service:
+            result = service.run_steps([("query", query, None)])[0]
+        assert result.paused
+        assert len(result.session_payload) < 64 * 1024
+        token = pickle.loads(result.session_payload)
+
+        image = ImageCache().get(program, query)
+        machine = Machine(symbols=image.symbols, fast_path=False)
+        store = machine.memory.store
+        written = {}
+        plain_write = store.write
+
+        def recording_write(address, word):
+            plain_write(address, word)
+            written[address] = word
+        store.write = recording_write
+        image.install(machine)
+        machine.stop_on_solution = True
+        machine.run(image.entry, collect_all=True,
+                    answer_names=image.query_variable_names)
+        assert machine.solution_paused
+        assert token.store_words == written
 
     def test_sliced_mode_checkpoints_and_stays_identical(self, reference):
         expected = _ref(reference, "queens")

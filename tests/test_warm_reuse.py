@@ -59,7 +59,7 @@ def test_reused_machine_leaves_no_residue(name="nrev1"):
     _run(machine, image, bench)
     machine.reset_for_reuse()
     memory = machine.memory
-    assert not memory.store._chunks
+    assert memory.store.words == {}
     assert memory.store.uninitialised_reads == 0
     assert memory.mmu.next_free_page == 0
     assert memory.mmu.resident_pages() == []
