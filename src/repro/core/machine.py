@@ -1077,19 +1077,12 @@ class Machine:
         # below uninstalls them so accesses between runs (bootstrap
         # frame setup, tests poking _read directly) take the layered
         # class methods again.
-        trail = self.trail
         if self.fast_path:
             self._read, self._write, self.deref = \
                 self.memory.fused_data_path(self)
             (self.bind, self.unify, self.fail,
              self._create_choice_point, self._refresh_barriers,
              self._pop_choice_point) = self._fused_control_path()
-            # The trail's accessors forward through _trail_read/_write
-            # to self._read/_write; pointing them at the fused closures
-            # for the run saves the forwarding frame on every push and
-            # unwind entry.  Restored below with the fused accessors.
-            trail._read = self._read
-            trail._write = self._write
         try:
             self._loop()
         except MachineError as err:
@@ -1121,8 +1114,6 @@ class Machine:
             self.__dict__.pop("_create_choice_point", None)
             self.__dict__.pop("_refresh_barriers", None)
             self.__dict__.pop("_pop_choice_point", None)
-            trail._read = self._trail_read
-            trail._write = self._trail_write
             stats.cycles = self.cycles
             stats.solutions = len(self.solutions)
             stats.trail_pushes = self.trail.pushes

@@ -30,9 +30,10 @@ Concretely:
 - The run loop charges the block's summed static cycles, instruction
   count and inference count at block entry.  On any mid-run
   deviation — unification failure, builtin P redirect, ``running``
-  cleared, machine trap — the closure uncharges exactly the
-  unexecuted suffix, whose sums are baked into it, so the totals are
-  what the executed instructions charge one step at a time.
+  cleared, or any exception, machine trap or not — the closure
+  uncharges exactly the unexecuted suffix, whose sums are baked into
+  it, so the totals are what the executed instructions charge one
+  step at a time.
 - Code-fetch timing still runs per instruction against the stateful
   code cache, with the hit path inlined (tag probe against baked
   constants) and hit counters batched and flushed on every exit path.
@@ -58,7 +59,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.opcodes import ArithOp, Op, TestOp
 from repro.core.registers import X_REGISTERS
 from repro.core.word import Type, Word, Zone
-from repro.errors import ArithmeticError_, MachineError
+from repro.errors import ArithmeticError_
 
 
 class _Demote(Exception):
@@ -195,7 +196,6 @@ class SuperopFuser:
             "dtags": data_cache.tags,
             "ddirty": data_cache.dirty,
             "ds": data_cache.stats,
-            "MER": MachineError,
             "AER": ArithmeticError_,
             "DPT": Type.DATA_PTR,
             "INT": Type.INT,
@@ -346,7 +346,7 @@ class SuperopFuser:
             suf[k] = (cost_after + steps[k][1], instr_after + 1,
                       infer_after + steps[k][2])
         gen = _Gen(self._fixed_env)
-        for name in ("cells", "MEM", "cfetch", "tags", "cs", "MER"):
+        for name in ("cells", "MEM", "cfetch", "tags", "cs"):
             gen.use(name)
         gen.env["SUF"] = tuple(suf)
 
@@ -391,7 +391,7 @@ class SuperopFuser:
         lines.append("    try:")
         for indent, text in body:
             gen.line(indent, text)
-        lines.append("    except MER:")
+        lines.append("    except BaseException:")
         lines.append("        c_, i_, f_ = SUF[u]")
         lines.append("        m.cycles -= c_")
         lines.append("        stats.instructions -= i_")
@@ -1264,7 +1264,7 @@ class _Chunk:
         self.put("    else:")
         self.put("        try:")
         self.put(f"            m.cycles += cfetch({self.pc})")
-        self.put("        except MER:")
+        self.put("        except BaseException:")
         self.put(f"            m.cycles -= {step[1]}")
         self.put("            stats.instructions -= 1")
         if step[2]:

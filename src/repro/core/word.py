@@ -33,6 +33,7 @@ from repro.core.tags import (
     with_gc_mark,
     VALUE_MASK,
 )
+from repro.errors import ArithmeticError_
 
 # Signed range of the 32-bit value part, used for integer wrap-around.
 INT_MIN = -(1 << 31)
@@ -41,8 +42,12 @@ INT_MAX = (1 << 31) - 1
 
 def to_single_precision(x: float) -> float:
     """Round a Python float through IEEE single precision (the FPU's
-    32-bit data format)."""
-    return struct.unpack("<f", struct.pack("<f", x))[0]
+    32-bit data format); a finite value beyond its range raises
+    :class:`~repro.errors.ArithmeticError_`."""
+    try:
+        return struct.unpack("<f", struct.pack("<f", x))[0]
+    except OverflowError:
+        raise ArithmeticError_("float overflow") from None
 
 
 def wrap_int32(n: int) -> int:

@@ -42,7 +42,9 @@ One execution path
     outcome tuple a worker ships over its pipe, and
     :meth:`QueryService._finish_outcome` turns that outcome into the
     slot's :class:`ServiceResult` and counters on both sides.
-    :meth:`EnginePool._drive` is the only cycle-slicing driver.
+    :meth:`EnginePool._drive` runs every query through
+    ``run_sliced``/``resume_sliced``; a run with no stops is the plain
+    run.
 
 Scheduling and ordering
     ``run_many`` dispatches **micro-batches**: up to ``batch_max``
@@ -80,23 +82,36 @@ Resilience (docs/RESILIENCE.md)
     (:mod:`repro.serve.chaos`) drives all of it under seeded worker
     kills, delivery delays and injected machine faults.
 
-    Every resilience feature is opt-in and strictly zero-cost when
-    idle: with no retry policy, no checkpoint cadence and no chaos,
-    the dispatch path and the machine inner loops are exactly the
-    non-resilient ones (the parallel-service benchmark pins this).
+    Every resilience feature is opt-in and costs nothing in the
+    machine when idle: with no retry policy, no checkpoint cadence, no
+    deadline and no chaos, a sliced run has no stops, so the machine
+    inner loops run exactly as in a plain run (the parallel-service
+    benchmark pins this).
+
+The collector
+    :meth:`QueryService._run_pooled` serves a batch in turns.  Every
+    turn respawns the workers that are due, dispatches runnable chunks
+    to idle workers, collects and delivers worker messages, then reaps
+    (:meth:`QueryService._reap`): a dead worker is handled in the turn
+    its pipe closes, however busy the other workers are.  Every dead
+    worker — crashed, killed at its deadline backstop, or found dead
+    when claimed for a chunk — leaves service through
+    :meth:`QueryService._recycle_worker`, which charges the supervisor,
+    and comes back through :meth:`QueryService._respawn_due` on a later
+    turn (at once without a supervisor, after its backoff under one).
 
 Timeouts
     Two budgets per query: ``max_cycles`` bounds *simulated* time (the
     machine's own watchdog raises ``CycleLimitExceeded``, captured like
-    any error), and ``timeout_s`` bounds *host* time.  With deadline
-    propagation (the default), the deadline ships to the worker and the
-    engine abandons the query cooperatively at the next cycle-grid
-    check — the worker survives and reports a ``WallTimeout`` failure;
-    the parent's terminate-and-respawn only fires after a grace window,
-    as the backstop for a worker wedged outside the interpreter.  A
-    result that reaches the parent in the same poll interval as its
-    deadline wins over the expiry: the collector drains delivered
-    messages before judging deadlines.
+    any error), and ``timeout_s`` bounds *host* time.  The deadline
+    ships with the task and the engine abandons the query
+    cooperatively at the next check of a ``_DEADLINE_CHECK_CYCLES``
+    grid — the worker survives and reports a ``WallTimeout`` failure;
+    the parent kills and respawns the worker only ``_DEADLINE_GRACE``
+    after the deadline, as the backstop for a worker wedged outside
+    the interpreter.  A result that reaches the parent in the same turn
+    as its deadline wins over the expiry: the reaper drains delivered
+    messages before it judges deadlines.
 
 Overload hardening (docs/RESILIENCE.md §7, :mod:`repro.serve.overload`)
     Per-query deadlines **propagate to workers**: the engine pool folds
@@ -125,7 +140,7 @@ it as the warm sequential baseline.  The in-process path cannot
 preempt, kill or respawn anything, so its failures are final and
 retry policies, admission control, quarantine strikes and chaos are
 worker-pool features; ``max_cycles``, ``checkpoint_every``
-(cycle-sliced execution) and — via cooperative deadline propagation —
+(cycle-sliced execution) and — via the in-engine deadline check —
 ``timeout_s``/``deadline_s`` work everywhere.
 """
 
@@ -175,12 +190,13 @@ _CLOSE_GRACE = 5.0
 #: both identically as WorkerCrashed).
 _CHAOS_EXIT = 13
 
-#: default cycle cadence of the in-engine deadline stop check (only
-#: armed when the query actually carries a host deadline).
+#: cycle cadence of the in-engine deadline stop check (armed only when
+#: the query carries a host deadline).
 _DEADLINE_CHECK_CYCLES = 25_000
 
 #: grace the parent gives a deadline-carrying worker to abandon the
-#: query and self-report before falling back to terminate-and-respawn.
+#: query and self-report before it kills the worker (the backstop for
+#: a worker wedged outside the interpreter).
 _DEADLINE_GRACE = 1.5
 
 #: default micro-batch size: how many same-image tasks may coalesce
@@ -410,27 +426,15 @@ class EnginePool:
                resume_from: Optional[MachineCheckpoint],
                on_slice: Optional[Callable[[], None]] = None,
                ) -> Tuple[Machine, RunStats, float]:
-        """Run (or resume) the machine, plain or cycle-sliced."""
-        collect_all = opts.get("all_solutions", False)
+        """Run (or resume) the machine in cycle slices: stops at the
+        checkpoint grid, a chaos kill threshold and, when the query
+        carries a host deadline, the ``_DEADLINE_CHECK_CYCLES`` grid.
+        A run with none of them has no stops, which is the plain
+        run."""
         every = opts.get("checkpoint_every")
         kill_at = opts.get("chaos_kill_cycles")
         deadline = opts.get("deadline_monotonic")
-        check = opts.get("deadline_check_cycles")
-        # Deadline propagation: only armed when the query carries a
-        # host deadline *and* a check cadence — otherwise the dispatch
-        # path is byte-identical to the deadline-free one.
-        armed_deadline = (deadline if deadline is not None
-                          and check is not None else None)
         started = time.perf_counter()
-        if every is None and kill_at is None and armed_deadline is None:
-            # The idle path: exactly the pre-resilience dispatch.
-            if resume_from is None:
-                stats = machine.run(image.entry, collect_all=collect_all,
-                                    answer_names=image.query_variable_names)
-            else:
-                stats = machine.resume()
-            return machine, stats, time.perf_counter() - started
-
         # A chaos kill planned at a cycle the resumed run is already
         # past stays disarmed — otherwise a resume could die instantly
         # at its first boundary, forever.  Relative plans instead arm
@@ -450,8 +454,9 @@ class EnginePool:
                 targets.append(cycles - cycles % every + every)
             if armed_kill is not None:
                 targets.append(armed_kill)
-            if armed_deadline is not None:
-                targets.append(cycles - cycles % check + check)
+            if deadline is not None:
+                targets.append(cycles - cycles % _DEADLINE_CHECK_CYCLES
+                               + _DEADLINE_CHECK_CYCLES)
             return min(targets) if targets else None
 
         def on_stop(m: Machine) -> None:
@@ -461,8 +466,7 @@ class EnginePool:
                 on_slice()
             if armed_kill is not None and m.cycles >= armed_kill:
                 raise ChaosKilled(f"chaos kill at cycle {m.cycles}")
-            if (armed_deadline is not None
-                    and time.monotonic() >= armed_deadline):
+            if deadline is not None and time.monotonic() >= deadline:
                 raise DeadlineAbandoned(
                     opts.get("deadline_kind", "WallTimeout"), m.cycles)
             if every is not None and on_checkpoint is not None:
@@ -471,7 +475,7 @@ class EnginePool:
         if resume_from is None:
             stats = machine.run_sliced(
                 image.entry, next_stop, on_stop,
-                collect_all=collect_all,
+                collect_all=opts.get("all_solutions", False),
                 answer_names=image.query_variable_names)
         else:
             stats = machine.resume_sliced(next_stop, on_stop)
@@ -518,9 +522,7 @@ def _execute(pool: EnginePool, key: str, image: LinkedImage, opts: dict,
     machine: Optional[Machine] = None
     try:
         deadline = opts.get("deadline_monotonic")
-        if (deadline is not None
-                and opts.get("deadline_check_cycles") is not None
-                and time.monotonic() >= deadline):
+        if deadline is not None and time.monotonic() >= deadline:
             # Expired while queued behind its chunk-mates: same
             # cooperative abandonment, zero cycles spent.
             raise DeadlineAbandoned(
@@ -762,7 +764,11 @@ Query = Union[str, Tuple[str, str]]
 
 @dataclass
 class _BatchState:
-    """Everything one batch tracks, on the worker pool or in-process."""
+    """Everything one batch tracks, on the worker pool or in-process.
+
+    A dispatch resumes a slot from its last checkpoint, else from its
+    base payload, else runs it from the query entry.
+    """
 
     queries: Sequence
     prepared: List
@@ -774,23 +780,21 @@ class _BatchState:
     batch_deadline: Optional[float]
     runnable: deque
     idle: deque
-    #: worker_id -> {slot index: (attempt, host deadline, propagated —
-    #: whether the worker itself is watching that deadline)}.  One
-    #: entry per worker holds its whole in-flight micro-batch; tasks
-    #: leave the inner dict as their outcomes stream back.  Insertion
-    #: order is chunk order, so the first remaining entry is the task
-    #: the worker is currently running (the ones behind it are queued).
-    inflight: Dict[int, Dict[int, Tuple[int, Optional[float], bool]]] = \
+    #: worker_id -> {slot index: (attempt, host deadline)}.  One entry
+    #: per worker holds its whole in-flight micro-batch; tasks leave
+    #: the inner dict as their outcomes stream back.  Insertion order
+    #: is chunk order, so the first remaining entry is the task the
+    #: worker is currently running (the ones behind it are queued).
+    inflight: Dict[int, Dict[int, Tuple[int, Optional[float]]]] = \
         field(default_factory=dict)
-    #: min-heap of (ready time, worker_id) awaiting a supervised
-    #: backoff-delayed respawn
+    #: min-heap of (ready time, worker_id) awaiting a respawn (ready at
+    #: once without a supervisor, after its backoff under one)
     respawn_ready: List[Tuple[float, int]] = field(default_factory=list)
     #: slot index -> executions started so far
     attempts: Dict[int, int] = field(default_factory=dict)
     #: slot index -> latest checkpoint payload from the live attempt
+    #: (kept when the attempt is lost, so its retry resumes from it)
     checkpoints: Dict[int, bytes] = field(default_factory=dict)
-    #: slot index -> payload the next dispatch should resume from
-    resume_payload: Dict[int, bytes] = field(default_factory=dict)
     #: slot index -> the payload the slot *started* from (session
     #: steps).  A retry with no mid-run checkpoint must fall back to
     #: this, never to a from-scratch run: restarting a mid-session
@@ -798,6 +802,10 @@ class _BatchState:
     base_payload: Dict[int, bytes] = field(default_factory=dict)
     #: min-heap of (ready time, slot index) awaiting retry backoff
     retry_ready: List[Tuple[float, int]] = field(default_factory=list)
+
+    def payload_for(self, index: int) -> Optional[bytes]:
+        """The payload slot ``index``'s next attempt resumes from."""
+        return self.checkpoints.get(index, self.base_payload.get(index))
 
 
 class QueryService:
@@ -816,12 +824,11 @@ class QueryService:
     only).  Each has a per-batch override on :meth:`run_many`.
 
     Overload knobs (:mod:`repro.serve.overload`): ``quarantine`` arms
-    the poison-query circuit breaker, ``supervisor`` bounds worker
+    the poison-query circuit breaker, and ``supervisor`` bounds worker
     respawns (exhausting every budget degrades the service to the
-    in-process fallback path), and ``deadline_check_cycles`` sets the
-    cadence of the in-engine deadline stop check (``None`` disables
-    propagation and restores parent-side kills as the only deadline
-    enforcement; it only engages for queries that carry a deadline).
+    in-process fallback path).  A query that carries a deadline is
+    always watched inside the engine; the parent kills its worker only
+    as a backstop.
     """
 
     def __init__(self, program: Union[str, Dict[str, str]],
@@ -838,8 +845,6 @@ class QueryService:
                  chaos: Optional[ChaosPolicy] = None,
                  quarantine: Optional[QuarantinePolicy] = None,
                  supervisor: Optional[SupervisorPolicy] = None,
-                 deadline_check_cycles: Optional[int]
-                 = _DEADLINE_CHECK_CYCLES,
                  batch_max: int = _BATCH_MAX):
         if isinstance(program, str):
             self.programs = {DEFAULT_PROGRAM: program}
@@ -854,8 +859,6 @@ class QueryService:
             raise ValueError("checkpoint_every must be positive")
         if max_queue_depth is not None and max_queue_depth < 0:
             raise ValueError("max_queue_depth must be >= 0")
-        if deadline_check_cycles is not None and deadline_check_cycles <= 0:
-            raise ValueError("deadline_check_cycles must be positive")
         if batch_max < 1:
             raise ValueError("batch_max must be >= 1")
         self.workers = workers
@@ -870,7 +873,6 @@ class QueryService:
         self.max_queue_depth = max_queue_depth
         self.chaos = chaos
         self.quarantine = quarantine
-        self.deadline_check_cycles = deadline_check_cycles
         self.cache = cache if cache is not None else default_image_cache()
 
         self._closed = False
@@ -897,10 +899,10 @@ class QueryService:
         #: threads on the result path, and a dead worker announces
         #: itself instantly as EOF instead of waiting out a liveness
         #: poll.
-        self._result_conns: List = []
-        self._task_queues: List = []
-        self._processes: List = []
-        self._shipped: List[set] = []
+        self._result_conns: List = [None] * workers
+        self._task_queues: List = [None] * workers
+        self._processes: List = [None] * workers
+        self._shipped: List[set] = [set() for _ in range(workers)]
         #: image key of each worker's last dispatched chunk, for the
         #: hot-worker affinity pick in :meth:`_claim_worker`.
         self._worker_last_key: Dict[int, str] = {}
@@ -915,7 +917,7 @@ class QueryService:
         }
         if workers:
             for worker_id in range(workers):
-                self._spawn_worker(worker_id, fresh=True)
+                self._spawn_worker(worker_id)
             # Keep the parent's derived per-key state (payloads,
             # segments, worker shipped-image records) in step with the
             # cache.  The listener holds the service only weakly: the
@@ -934,7 +936,10 @@ class QueryService:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def _spawn_worker(self, worker_id: int, fresh: bool) -> None:
+    def _spawn_worker(self, worker_id: int) -> None:
+        """Start worker ``worker_id``'s process with a fresh task queue,
+        result pipe (the old ones may hold undelivered messages) and
+        shipped-images record."""
         task_queue = self._context.Queue()
         receive_conn, send_conn = self._context.Pipe(duplex=False)
         process = self._context.Process(
@@ -943,95 +948,51 @@ class QueryService:
                   self.max_machines),
             daemon=True,
             name=f"kcm-query-worker-{worker_id}")
-        if fresh:
-            self._task_queues.append(task_queue)
-            self._result_conns.append(receive_conn)
-            self._processes.append(process)
-            self._shipped.append(set())
-        else:
-            # Respawn after a kill: fresh queue and pipe (the old ones
-            # may hold undelivered messages) and a clean shipped-images
-            # record.
-            self._task_queues[worker_id] = task_queue
+        if self._result_conns[worker_id] is not None:
             try:
                 self._result_conns[worker_id].close()
             except Exception:
                 pass
-            self._result_conns[worker_id] = receive_conn
-            self._processes[worker_id] = process
-            self._shipped[worker_id] = set()
-            self._worker_last_key.pop(worker_id, None)
+        self._task_queues[worker_id] = task_queue
+        self._result_conns[worker_id] = receive_conn
+        self._processes[worker_id] = process
+        self._shipped[worker_id] = set()
+        self._worker_last_key.pop(worker_id, None)
         process.start()
         # Close the parent's copy of the send end so the receive end
         # reaches EOF the instant the worker dies.
         send_conn.close()
 
-    def _reclaim(self, worker_id: int) -> None:
-        """Terminate and reap worker ``worker_id``'s current process."""
+    def _recycle_worker(self, worker_id: int, state: _BatchState) -> None:
+        """Worker ``worker_id`` is gone (crashed, killed for an overrun,
+        or found dead when claimed): charge its supervisor, reap the
+        process, then retire the slot when its restart budget is spent
+        or schedule its respawn — at once without a supervisor, after
+        a deterministic backoff under one."""
+        delay = (self._supervisor.on_death(worker_id)
+                 if self._supervisor is not None else 0.0)
         process = self._processes[worker_id]
         if process.is_alive():
             process.terminate()
         process.join(timeout=_CLOSE_GRACE)
-
-    def _respawn(self, worker_id: int) -> None:
-        """Replace a worker's process immediately (no backoff)."""
-        self._reclaim(worker_id)
-        self._counters["respawns"] += 1
-        self._spawn_worker(worker_id, fresh=False)
-
-    def _ensure_alive(self, worker_id: int) -> bool:
-        """Make ``worker_id`` dispatchable, honouring the supervisor's
-        restart budget; ``False`` means the slot is retired for good.
-
-        Used at dispatch time, where an idle worker may have died since
-        it was last used (e.g. a chaos exit racing its final result);
-        the supervised backoff is a between-attempts courtesy inside
-        the collection loop, so a dispatch-time respawn is immediate —
-        but still charged against the budget.
-        """
-        if self._supervisor is not None and self._supervisor.retired(
-                worker_id):
-            return False
-        if self._processes[worker_id].is_alive():
-            return True
-        if self._supervisor is not None:
-            if self._supervisor.on_death(worker_id) is None:
-                self._retire_worker(worker_id)
-                return False
-        self._respawn(worker_id)
-        return True
-
-    def _retire_worker(self, worker_id: int) -> None:
-        """The worker's restart budget is exhausted: reap the corpse
-        and take the slot out of rotation permanently."""
-        self._reclaim(worker_id)
-        self._counters["workers_retired"] += 1
-
-    def _recycle_worker(self, worker_id: int, state: _BatchState) -> None:
-        """A worker serving a query is gone (crashed, or killed for an
-        overrun): respawn it — immediately without a supervisor, after
-        a deterministic backoff under one — or retire it when its
-        restart budget is spent."""
-        if self._supervisor is None:
-            self._respawn(worker_id)
-            state.idle.append(worker_id)
-            return
-        delay = self._supervisor.on_death(worker_id)
         if delay is None:
-            self._retire_worker(worker_id)
+            self._counters["workers_retired"] += 1
             return
-        self._reclaim(worker_id)
         heapq.heappush(state.respawn_ready,
                        (time.monotonic() + delay, worker_id))
 
-    def _flush_respawns(self, state: _BatchState) -> None:
-        """Spawn every backoff-pending worker at batch end (the backoff
-        is a within-batch pacing device; the next batch deserves its
-        full pool)."""
-        while state.respawn_ready:
-            _, worker_id = heapq.heappop(state.respawn_ready)
+    def _respawn_due(self, state: _BatchState,
+                     now: Optional[float] = None) -> None:
+        """Spawn every worker whose respawn is due at ``now`` — or, at
+        batch end (``now=None``), every one still waiting: the backoff
+        paces respawns within a batch, and the next batch deserves its
+        full pool.  A respawned worker joins the idle stack."""
+        ready = state.respawn_ready
+        while ready and (now is None or ready[0][0] <= now):
+            _, worker_id = heapq.heappop(ready)
             self._counters["respawns"] += 1
-            self._spawn_worker(worker_id, fresh=False)
+            self._spawn_worker(worker_id)
+            state.idle.append(worker_id)
 
     def close(self) -> None:
         """Stop every worker and release the pools.
@@ -1170,11 +1131,11 @@ class QueryService:
 
         ``timeout_s`` is the per-query host wall budget; ``deadline_s``
         bounds the whole batch — slots not finished when it passes fail
-        with ``DeadlineExceeded``.  Both propagate into the engines as
-        cooperative stop checks (``deadline_check_cycles``), so they
-        work on worker pools *and* the in-process path; with
-        propagation disabled, parent-side kills enforce them on worker
-        pools only.  ``retry``, ``checkpoint_every`` and ``chaos``
+        with ``DeadlineExceeded``.  Both travel into the engines as
+        cooperative stop checks on a cycle grid, so they work on worker
+        pools *and* the in-process path; on a worker pool the parent
+        kills a worker that has not reported ``_DEADLINE_GRACE`` after
+        the deadline.  ``retry``, ``checkpoint_every`` and ``chaos``
         override the service-level defaults for this batch.
 
         ``priorities`` assigns each slot a priority class (smaller is
@@ -1228,7 +1189,6 @@ class QueryService:
         if payloads is None:
             self._admit(state, priorities)
         else:
-            state.resume_payload.update(payloads)
             state.base_payload.update(payloads)
         if self.workers:
             self._run_pooled(state)
@@ -1420,31 +1380,27 @@ class QueryService:
 
     # -- in-process serving ----------------------------------------------------
 
-    def _deadline_opts(self, opts: dict, timeout_s: Optional[float],
-                      batch_deadline: Optional[float],
-                      ) -> Tuple[dict, Optional[float], bool]:
+    @staticmethod
+    def _deadline_opts(opts: dict, timeout_s: Optional[float],
+                       batch_deadline: Optional[float],
+                       ) -> Tuple[dict, Optional[float]]:
         """Task options with the effective deadline folded in.
 
-        Returns ``(opts, deadline, propagated)``: the tighter of the
-        per-query and batch deadlines, tagged with the error kind it
-        should expire as, plus whether the engine itself will watch it
-        (deadline propagation armed).
+        Returns ``(opts, deadline)``: the tighter of the per-query and
+        batch deadlines, tagged with the error kind it should expire
+        as, for the engine to watch.
         """
-        now = time.monotonic()
-        deadline = now + timeout_s if timeout_s is not None else None
+        deadline = (time.monotonic() + timeout_s
+                    if timeout_s is not None else None)
         kind = "WallTimeout"
         if batch_deadline is not None and (deadline is None
                                            or batch_deadline <= deadline):
             deadline = batch_deadline
             kind = "DeadlineExceeded"
-        check = self.deadline_check_cycles
-        if deadline is None or check is None:
-            return opts, deadline, False
-        merged = dict(opts)
-        merged["deadline_monotonic"] = deadline
-        merged["deadline_check_cycles"] = check
-        merged["deadline_kind"] = kind
-        return merged, deadline, True
+        if deadline is None:
+            return opts, None
+        return dict(opts, deadline_monotonic=deadline,
+                    deadline_kind=kind), deadline
 
     def _serve_in_process(self, state: _BatchState) -> None:
         """Serve every pending slot of the batch, in order, on the
@@ -1473,13 +1429,12 @@ class QueryService:
             state.attempts[index] = attempt
             if self.workers:
                 self._counters["local_fallbacks"] += 1
-            payload = state.resume_payload.pop(
-                index, state.base_payload.get(index))
-            opts, _, _ = self._deadline_opts(
+            opts, _ = self._deadline_opts(
                 state.opts, state.timeout_s, state.batch_deadline)
             key, image = state.prepared[index]
             self._finish_outcome(index, attempt, _execute(
-                self._local_pool, key, image, opts, payload), state)
+                self._local_pool, key, image, opts,
+                state.payload_for(index)), state)
 
     @staticmethod
     def _take_pending(state: _BatchState) -> List[int]:
@@ -1598,6 +1553,14 @@ class QueryService:
             self._drop_key_now(key)
 
     def _run_pooled(self, state: _BatchState) -> None:
+        """The collector: serve the batch on the worker pool in turns.
+
+        Every turn respawns the workers that are due, dispatches
+        runnable chunks to idle workers, collects and delivers worker
+        messages, then reaps, so a dead or overdue worker is handled
+        in the turn its pipe closes or its deadline passes, however
+        busy the other workers are.
+        """
         supervisor = self._supervisor
         state.idle.extend(worker_id for worker_id in range(self.workers)
                           if supervisor is None
@@ -1610,28 +1573,21 @@ class QueryService:
                         and now >= state.batch_deadline):
                     self._expire_batch(state)
                     break
-                while (state.respawn_ready
-                       and state.respawn_ready[0][0] <= now):
-                    _, worker_id = heapq.heappop(state.respawn_ready)
-                    self._counters["respawns"] += 1
-                    self._spawn_worker(worker_id, fresh=False)
-                    state.idle.append(worker_id)
+                self._respawn_due(state, now)
                 while state.retry_ready and state.retry_ready[0][0] <= now:
                     _, index = heapq.heappop(state.retry_ready)
                     state.runnable.append(index)
                 while state.runnable and state.idle:
                     chunk = self._next_chunk(state)
-                    key = state.prepared[chunk[0]][0]
-                    for_chunk = None
-                    while state.idle:
-                        worker_id = self._claim_worker(state, key)
-                        if self._ensure_alive(worker_id):
-                            for_chunk = worker_id
-                            break       # retired at claim; try the next
-                    if for_chunk is None:
-                        state.runnable.extendleft(reversed(chunk))
-                        break
-                    self._dispatch_chunk(chunk, for_chunk, state)
+                    worker_id = self._claim_worker(
+                        state, state.prepared[chunk[0]][0])
+                    if self._processes[worker_id].is_alive():
+                        self._dispatch_chunk(chunk, worker_id, state)
+                        continue
+                    # Died while idle (a chaos exit racing its last
+                    # result): it comes back on a later turn.
+                    state.runnable.extendleft(reversed(chunk))
+                    self._recycle_worker(worker_id, state)
                 if (not state.inflight and not state.idle
                         and not state.respawn_ready
                         and (state.runnable or state.retry_ready)):
@@ -1640,31 +1596,27 @@ class QueryService:
                     # of the batch in-process.
                     self._serve_in_process(state)
                     break
-                messages = self._collect_messages(
-                    self._wait_interval(state))
-                if not messages:
-                    self._reap(state)
-                    continue
-                for message in messages:
+                for message in self._collect_messages(
+                        self._wait_interval(state)):
                     self._deliver(message, state)
+                self._reap(state)
         finally:
-            self._flush_respawns(state)
+            self._respawn_due(state)
             with self._ship_lock:
                 self._batch = None
             self._flush_pending_drops()
 
     def _wait_interval(self, state: _BatchState) -> float:
-        """How long the collector may block before something (a wall
-        deadline, a retry or respawn becoming ready, the batch
+        """How long the collector may block before something (a kill
+        backstop, a retry or respawn becoming ready, the batch
         deadline) needs attention."""
         wait = _POLL_SECONDS
         now = time.monotonic()
         for entries in state.inflight.values():
-            for _, deadline, propagated in entries.values():
+            for _, deadline in entries.values():
                 if deadline is not None:
-                    if propagated:
-                        deadline += _DEADLINE_GRACE
-                    wait = min(wait, max(0.0, deadline - now) + 0.01)
+                    wait = min(wait, max(0.0, deadline + _DEADLINE_GRACE
+                                         - now) + 0.01)
         if state.retry_ready:
             wait = min(wait, max(0.0, state.retry_ready[0][0] - now) + 0.01)
         if state.respawn_ready:
@@ -1737,19 +1689,18 @@ class QueryService:
         """
         key, image = state.prepared[indices[0]]
         self._ship_image(worker_id, key, image)
-        base_opts, deadline, propagated = self._deadline_opts(
+        base_opts, deadline = self._deadline_opts(
             state.opts, state.timeout_s, state.batch_deadline)
         tasks = []
-        entries: Dict[int, Tuple[int, Optional[float], bool]] = {}
+        entries: Dict[int, Tuple[int, Optional[float]]] = {}
         for index in indices:
             attempt = state.attempts.get(index, 0) + 1
             state.attempts[index] = attempt
             opts = base_opts
             if state.chaos is not None:
                 opts = state.chaos.plan(index, attempt).apply(opts)
-            tasks.append((index, attempt, opts,
-                          state.resume_payload.pop(index, None)))
-            entries[index] = (attempt, deadline, propagated)
+            tasks.append((index, attempt, opts, state.payload_for(index)))
+            entries[index] = (attempt, deadline)
         self._task_queues[worker_id].put(("tasks", key, tasks))
         self._worker_last_key[worker_id] = key
         state.inflight[worker_id] = entries
@@ -1823,13 +1774,18 @@ class QueryService:
             self._deliver(message, state)
 
     def _reap(self, state: _BatchState) -> None:
-        """Handle wall-timeout expiries and crashed workers.
+        """Handle overdue and dead workers; the collector calls it at
+        the end of every turn.
 
-        Delivered-but-uncollected results are drained *first*: a result
-        that arrived within the same poll interval as its deadline
-        expiry wins over the expiry, so a query is never reported
-        ``WallTimeout`` when its answer was already in the queue.
+        Liveness is sampled, then the pipes are drained, then the
+        reaper judges: a result that arrived within the same turn as
+        its deadline expiry wins over the expiry, so a query is never
+        reported ``WallTimeout`` with its answer already in the pipe,
+        and a worker that flushed its last results and died loses only
+        the tasks it never reported.
         """
+        dead = {worker_id for worker_id in state.inflight
+                if not self._processes[worker_id].is_alive()}
         self._drain(state)
         now = time.monotonic()
         for worker_id in list(state.inflight):
@@ -1837,17 +1793,14 @@ class QueryService:
             if not entries:
                 continue
             # The chunk shares one deadline (computed at dispatch), so
-            # the first remaining entry speaks for all of them.  With
-            # propagation armed the engine should abandon the query
-            # itself; the parent only falls back to the kill after a
-            # grace window (a worker wedged outside the interpreter —
-            # or one whose result delivery is delayed — still cannot
-            # overrun forever).
-            _, deadline, propagated = next(iter(entries.values()))
-            effective = (deadline + _DEADLINE_GRACE
-                         if deadline is not None and propagated
-                         else deadline)
-            if effective is not None and now >= effective:
+            # the first remaining entry speaks for all of them.  The
+            # engine abandons the query itself at its deadline; the
+            # parent only kills the worker after a grace window (a
+            # worker wedged outside the interpreter — or one whose
+            # result delivery is delayed — still cannot overrun
+            # forever).
+            _, deadline = next(iter(entries.values()))
+            if deadline is not None and now >= deadline + _DEADLINE_GRACE:
                 if (state.batch_deadline is not None
                         and now >= state.batch_deadline):
                     self._lose_worker(
@@ -1859,7 +1812,7 @@ class QueryService:
                         worker_id, "WallTimeout",
                         "query exceeded its host wall budget; "
                         "worker restarted", state)
-            elif not self._processes[worker_id].is_alive():
+            elif worker_id in dead:
                 self._lose_worker(
                     worker_id, "WorkerCrashed",
                     "worker process died while serving the query; "
@@ -1885,8 +1838,7 @@ class QueryService:
         if kind == "WorkerCrashed":
             self._counters["crashes"] += 1
         self._recycle_worker(worker_id, state)
-        for position, (index, (attempt, _, _)) in enumerate(
-                entries.items()):
+        for position, (index, (attempt, _)) in enumerate(entries.items()):
             if kind == "WallTimeout":
                 self._counters["timeouts"] += 1
             text = (message if position == 0 else
@@ -1934,14 +1886,10 @@ class QueryService:
         if (policy is not None and within_deadline
                 and policy.retryable(error.kind, attempt)):
             self._counters["retries"] += 1
-            # Best resume point first: the live attempt's last mid-run
-            # checkpoint, else the payload the step started from (a
-            # session step must never restart from the query entry).
-            payload = state.checkpoints.get(index)
-            if payload is None:
-                payload = state.base_payload.get(index)
-            if payload is not None:
-                state.resume_payload[index] = payload
+            # The retry resumes from the lost attempt's last mid-run
+            # checkpoint, else from the payload the step started from
+            # (a session step must never restart from the query entry).
+            if state.payload_for(index) is not None:
                 self._counters["resumes"] += 1
             heapq.heappush(state.retry_ready,
                            (now + policy.delay_s(index, attempt), index))
@@ -1950,21 +1898,17 @@ class QueryService:
                      stats=partial_stats, error=error)
 
     def _expire_batch(self, state: _BatchState) -> None:
-        """The batch deadline passed: drain what already finished (it
-        still wins), give deadline-watching workers a grace window to
-        abandon and self-report, then fail everything unfinished."""
-        self._drain(state)
-        if any(propagated
-               for entries in state.inflight.values()
-               for *_, propagated in entries.values()):
-            grace_end = time.monotonic() + _DEADLINE_GRACE
-            while state.inflight:
-                remaining = grace_end - time.monotonic()
-                if remaining <= 0:
-                    break
-                for message in self._collect_messages(
-                        min(0.05, remaining)):
-                    self._deliver(message, state)
+        """The batch deadline passed: give the in-flight workers, whose
+        engines watch that deadline, a grace window to abandon and
+        self-report (what already finished still wins), then fail
+        everything unfinished."""
+        grace_end = time.monotonic() + _DEADLINE_GRACE
+        while state.inflight:
+            remaining = grace_end - time.monotonic()
+            if remaining <= 0:
+                break
+            for message in self._collect_messages(min(0.05, remaining)):
+                self._deliver(message, state)
         for worker_id in list(state.inflight):
             self._lose_worker(
                 worker_id, "DeadlineExceeded",

@@ -11,17 +11,20 @@ integers, lists, ``f/1`` and ``f/2`` structures and variables, with
 runs reach first-argument indexing, cut barriers, shallow and deep
 backtracking, arithmetic traps and cyclic answers in blocks that no
 suite program has, and every block they enter is fused on first entry.
+``is/2`` also draws float operands, so a product may leave single
+precision.
 """
 
 import dataclasses
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from repro.compiler.linker import Linker
 from repro.core.costs import Features
 from repro.core.machine import Machine
 from repro.core.symbols import SymbolTable
+from repro.errors import ArithmeticError_
 from repro.prolog.writer import term_to_text
 
 #: A safety net only: the programs are finite, but a few multiply
@@ -40,6 +43,9 @@ STOPPED = "CycleLimitExceeded"
 
 variable = st.sampled_from(("X", "Y", "Z"))
 operand = st.one_of(variable, st.integers(0, 3).map(str))
+#: ``is/2`` operands: also floats, where 1.0e20 * 1.0e20 overflows
+#: single precision.
+number = st.one_of(operand, st.sampled_from(("2.5", "1.0e20")))
 term = st.recursive(
     st.one_of(st.sampled_from(("a", "b", "[]")),
               st.integers(-1, 3).map(str), variable),
@@ -68,9 +74,9 @@ def goal(draw, arities):
     if kind in ("=", "=="):
         return f"{draw(term)} {kind} {draw(term)}"
     if kind == "is":
-        return "{} is {} {} {}".format(draw(operand), draw(operand),
+        return "{} is {} {} {}".format(draw(operand), draw(number),
                                        draw(st.sampled_from("+-*")),
-                                       draw(operand))
+                                       draw(number))
     if kind == "<":
         return f"{draw(operand)} < {draw(operand)}"
     if kind == "integer":
@@ -95,8 +101,14 @@ def programs(draw):
 
 
 def link(program):
+    """Link ``program``.  Constant arithmetic that overflows single
+    precision fails in the compiler, before any path runs, so such a
+    program is no example."""
     source, query = program
-    return Linker(symbols=SymbolTable()).link(source, query)
+    try:
+        return Linker(symbols=SymbolTable()).link(source, query)
+    except ArithmeticError_:
+        reject()
 
 
 def machine_over(image, path, max_cycles=BUDGET):
@@ -108,13 +120,14 @@ def machine_over(image, path, max_cycles=BUDGET):
 
 def observe(run, machine):
     """What ``run()`` shows: the answers and full RunStats, or the
-    error's type, message, ``pc`` and ``stats`` where it has them."""
+    error's type, message and ``pc`` (where it has one) with the run's
+    finalized RunStats, which every error leaves in ``machine.stats``
+    (only machine errors carry them as ``err.stats`` too)."""
     try:
         stats = run()
     except Exception as err:    # the error is the observation
-        stats = getattr(err, "stats", None)
         return (type(err).__name__, str(err), getattr(err, "pc", None),
-                None if stats is None else dataclasses.asdict(stats))
+                dataclasses.asdict(machine.stats))
     answers = tuple(tuple((name, term_to_text(value))
                           for name, value in solution.items())
                     for solution in machine.solutions)

@@ -6,9 +6,15 @@ the pool, and the no-heap-retention contract of service results.
 Worker processes are real ``spawn`` children, so this file keeps one
 small pool per test and closes it promptly."""
 
+import time
+
 import pytest
 
-from repro.serve import DEFAULT_PROGRAM, QueryError, QueryService
+from repro.serve import (
+    ChaosPolicy, DEFAULT_PROGRAM, QueryError, QueryService, RetryPolicy,
+)
+from repro.serve.chaos import ChaosPlan
+from repro.serve.service import _DEADLINE_GRACE
 
 APPEND = ("append([], L, L). "
           "append([H|T], L, [H|R]) :- append(T, L, R).")
@@ -98,6 +104,17 @@ def test_cycle_budget_is_a_per_slot_failure():
     assert results[1].ok
 
 
+def test_float_literal_overflow_fails_its_own_slot():
+    """A query literal beyond single precision fails its own slot as
+    an ArithmeticError_ instead of aborting the whole batch."""
+    with QueryService(PROGRAMS, workers=0) as service:
+        results = service.run_many([("facts", "colour(1.0e40)"),
+                                    ("facts", "colour(C)")])
+    assert not results[0].ok
+    assert results[0].error.kind == "ArithmeticError_"
+    assert results[1].ok
+
+
 def test_service_result_holds_no_machine():
     with QueryService(FACTS, workers=0) as service:
         result = service.run("colour(C)")
@@ -142,22 +159,81 @@ def test_pool_captures_failures_and_keeps_serving():
         assert service.run(("facts", "colour(C)")).ok
 
 
-def test_wall_timeout_kills_and_respawns_worker():
-    # deadline_check_cycles=None disables cooperative abandonment so
-    # this keeps exercising the parent's kill-and-respawn backstop
-    # (the cooperative path has its own tests in test_serve_overload).
-    programs = dict(PROGRAMS, loop=LOOP)
-    with QueryService(programs, workers=1,
-                      deadline_check_cycles=None) as service:
-        results = service.run_many([
-            ("loop", "loop"),              # no cycle budget: runs forever
-            ("facts", "colour(C)"),
-        ], timeout_s=1.5)
-    assert not results[0].ok
-    assert results[0].error.kind == "WallTimeout"
-    assert results[0].error.transient      # retryable host condition
-    # The respawned worker served the rest of the batch.
-    assert results[1].ok
+def _never_quiet(monkeypatch, service, sender):
+    """Make every collector poll also return a heartbeat from worker
+    ``sender``, so no poll comes back empty, as when another worker
+    keeps sending."""
+    collect = service._collect_messages
+
+    def chatty(timeout):
+        return collect(timeout) + [("hb", sender, time.monotonic())]
+
+    monkeypatch.setattr(service, "_collect_messages", chatty)
+
+
+class _Wedge:
+    """Chaos that wedges slot 0's first attempt outside the engine: the
+    worker sleeps after the run, where no in-engine deadline check
+    reaches."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def plan(self, index, attempt):
+        return ChaosPlan(delay_result_s=(self.seconds
+                                         if (index, attempt) == (0, 1)
+                                         else 0.0))
+
+
+def test_wall_timeout_kills_and_respawns_worker(monkeypatch):
+    """A worker wedged outside the engine is killed by the parent's
+    backstop, ``_DEADLINE_GRACE`` after the deadline: the slot fails
+    WallTimeout and the respawned worker serves the batch-mate, also
+    when every collector poll brings a message."""
+    timeout_s = 0.5
+    wedge = _Wedge(timeout_s + _DEADLINE_GRACE + 8.0)
+    for chatty in (False, True):
+        with QueryService(PROGRAMS, workers=1) as service:
+            if chatty:
+                _never_quiet(monkeypatch, service, sender=0)
+            started = time.monotonic()
+            results = service.run_many([
+                ("facts", "colour(C)"),          # wedged after its run
+                ("append", "append([1], [2], X)"),
+            ], timeout_s=timeout_s, chaos=wedge)
+            elapsed = time.monotonic() - started
+            health = service.health()
+        assert not results[0].ok
+        assert results[0].error.kind == "WallTimeout"
+        assert results[0].error.transient      # retryable host condition
+        # The respawned worker served the rest of the batch.
+        assert results[1].ok
+        assert health.timeouts == 1 and health.respawns == 1
+        assert health.deadline_abandons == 0   # killed, not abandoned
+        assert elapsed < wedge.seconds         # the kill ended the wedge
+
+
+def test_dead_worker_is_reaped_while_another_keeps_sending(monkeypatch):
+    """A chaos-killed worker is reaped, and its slot retried, in the
+    turn its pipe closes, even when every poll brings a heartbeat from
+    the other worker.  A collector that reaped only after an empty
+    poll left the slot in flight until the batch deadline."""
+    chaos = ChaosPolicy(seed=3, kill_rate=1.0, kill_window=(500, 2_000),
+                        max_kills_per_slot=1)
+    with QueryService(PROGRAMS, workers=2) as service:
+        survivor = service._processes[0].pid
+        _never_quiet(monkeypatch, service, sender=0)
+        result = service.run_many(
+            [("nrev", f"nrev({list(range(30))}, R)")], chaos=chaos,
+            retry=RetryPolicy(max_attempts=3, base_delay_s=0.01),
+            deadline_s=5.0)[0]
+        health = service.health()
+        # The heartbeats came from the worker that lived: the killed
+        # slot ran on worker 1, the most recently idled one.
+        assert service._processes[0].pid == survivor
+    assert result.ok, result.error
+    assert result.attempts == 2
+    assert health.crashes == 1 and health.respawns == 1
 
 
 def test_delivered_result_beats_expired_deadline():
@@ -166,7 +242,6 @@ def test_delivered_result_beats_expired_deadline():
     deadline must win — the reaper drains deliveries before judging
     deadlines, so the query is never reported WallTimeout with its
     answer already in hand."""
-    import time
     from collections import deque
 
     from repro.serve.cache import image_key
@@ -193,11 +268,11 @@ def test_delivered_result_beats_expired_deadline():
             time.sleep(0.02)
         # Now expire the wall deadline out from under it and reap: the
         # seed service killed the worker and reported WallTimeout here.
-        attempt, _, propagated = state.inflight[0][0]
-        # -5.0 beats the propagation grace window too, so the drain-
-        # before-judging order is what saves the slot, nothing else.
-        state.inflight[0][0] = (attempt, time.monotonic() - 5.0,
-                                propagated)
+        attempt, _ = state.inflight[0][0]
+        # -5.0 beats the kill backstop's grace window too, so the
+        # drain-before-judging order is what saves the slot, nothing
+        # else.
+        state.inflight[0][0] = (attempt, time.monotonic() - 5.0)
         service._reap(state)
         assert results[0] is not None
         assert results[0].ok, results[0].error

@@ -2,7 +2,10 @@
 entry, ablation equivalence, generation-counter staleness, warm-reuse
 translation caching and compile-once superop code per image."""
 
+import dataclasses
 import pickle
+
+import pytest
 
 from repro.api import compile_and_load, run_query
 from repro.bench.programs import SUITE
@@ -15,6 +18,7 @@ from repro.core.predecode import PredecodedCode, predecode
 from repro.core.superops import SuperopFuser
 from repro.core.symbols import SymbolTable
 from repro.core.word import make_int
+from repro.errors import ArithmeticError_
 from repro.prolog.writer import term_to_text
 from repro.serve import EnginePool, ImageCache
 
@@ -100,6 +104,32 @@ class TestFusedEntries:
         assert stats_fused.inferences == stats_unfused.inferences
         assert [term_to_text(s["R"]) for s in fused.solutions] == \
             [term_to_text(s["R"]) for s in unfused.solutions]
+
+
+class TestErrorsInsideFusedBlocks:
+    def test_float_overflow_stops_every_path_alike(self):
+        """A product that leaves single precision raises the same
+        ArithmeticError_ at the same pc with the same RunStats on the
+        fused, unfused and seed paths: the fused block uncharges its
+        unexecuted suffix as it does for a trap."""
+        program = "p(X, Y) :- A is X * 2.0, B is A * A, Y is B + 1.0.\n"
+        seen = []
+        for fused, options in (
+                (True, dict(fast_path=True)),
+                (False, dict(fast_path=True,
+                             features=Features(superops=False))),
+                (False, dict(fast_path=False))):
+            machine = compile_and_load(
+                program, "p(1.0e20, Y)",
+                machine=Machine(symbols=SymbolTable(), **options))
+            with pytest.raises(ArithmeticError_,
+                               match="float overflow") as info:
+                run_loaded(machine)
+            assert info.value.stats is machine.stats
+            if fused:
+                assert machine._predecoded.fused_count > 0
+            seen.append((info.value.pc, dataclasses.asdict(machine.stats)))
+        assert seen[0] == seen[1] == seen[2]
 
 
 class TestFusionOnFirstEntry:
