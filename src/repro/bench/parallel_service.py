@@ -295,7 +295,7 @@ def check_beats_cached(report: Dict, min_workers: int = 2) -> str:
     """Assert the parallelism-pays invariant: every measured
     ``service_wN`` with ``N >= min_workers`` ran the batch faster than
     ``cached_sequential`` (one warm in-process worker).  This is the
-    gate the micro-batched shared-memory data plane exists to hold —
+    gate the micro-batched, streamed data plane exists to hold —
     a pool that loses to a single warm worker is pure overhead.
     """
     losers = []

@@ -104,12 +104,15 @@ class ImageCache:
         leaves the cache (LRU/byte-budget eviction or :meth:`clear`).
 
         The query service uses this to drop its derived per-key state —
-        pickled payloads, shared-memory segments, worker shipped-image
-        records — in step with the cache, so nothing derived from an
-        image outlives the image.  Listeners are called *outside* the
-        cache lock (the lock is not reentrant and a listener may well
-        call back into the cache); exceptions are swallowed — eviction
-        is bookkeeping and must never fail a ``get``.
+        pickled payloads and worker shipped-image records — in step
+        with the cache, so nothing derived from an image outlives the
+        image.  A listener runs on whichever thread called the cache,
+        so the service's listener only parks the key and its collector
+        applies the drop at the end of a batch.  Listeners are called
+        *outside* the cache lock (the lock is not reentrant and a
+        listener may well call back into the cache); exceptions are
+        swallowed — eviction is bookkeeping and must never fail a
+        ``get``.
         """
         with self._lock:
             self._eviction_listeners.append(listener)

@@ -32,15 +32,11 @@ from dataclasses import dataclass, field
 from typing import FrozenSet
 
 #: failure kinds that may succeed on re-execution (host conditions).
-#: ImageUnavailable is the rare shared-memory race where a worker's
-#: segment attach lost to a cache eviction; a retry re-ships the image.
 TRANSIENT_KINDS: FrozenSet[str] = frozenset(
-    {"WorkerCrashed", "WallTimeout", "Shed", "DeadlineExceeded",
-     "ImageUnavailable"})
+    {"WorkerCrashed", "WallTimeout", "Shed", "DeadlineExceeded"})
 
 #: the subset run_many retries automatically inside a batch.
-RETRYABLE_KINDS: FrozenSet[str] = frozenset(
-    {"WorkerCrashed", "WallTimeout", "ImageUnavailable"})
+RETRYABLE_KINDS: FrozenSet[str] = frozenset({"WorkerCrashed", "WallTimeout"})
 
 
 def is_transient(kind: str) -> bool:

@@ -23,17 +23,18 @@ Spawn safety and image transport
     Images cross the boundary pickled (builtin handlers travel as
     (name, arity) specs, rebuilt on arrival); machines are built inside
     the worker, so the unpicklable fused memory closures and dispatch
-    tables never cross at all.  The pickled image bytes live in a
-    parent-owned :mod:`multiprocessing.shared_memory` segment, pickled
-    **once per service**: each worker — including every respawn after
-    a crash — registers an image from a constant-size
-    ``("image_shm", key, name, nbytes)`` message, copying the bytes
-    out and detaching immediately.  Segments are unlinked in step with
-    :class:`~repro.serve.cache.ImageCache` eviction (deferred to batch
-    end while a chunk may still attach) and at :meth:`close`.  Only if
-    creating a segment fails does the service fall back to shipping
-    the payload over each worker's task queue, at most once per
-    worker incarnation.
+    tables never cross at all.  An image is pickled **once per
+    service** and queued as ``("image", key, payload)`` on a worker's
+    task queue **once per worker incarnation** (every respawn after a
+    crash receives it again before its first chunk).  Only the
+    collector's thread puts image, task and drop messages, so each
+    worker's FIFO queue delivers an image before every chunk that names
+    it and before the ``("drop", key)`` that retires it.  An
+    :class:`~repro.serve.cache.ImageCache` eviction may fire on any
+    thread that calls the cache; the listener only parks the key, and
+    the collector applies every parked eviction at the end of each
+    batch (:meth:`QueryService._apply_drops`) and :meth:`close` clears
+    what is left.
 
 One execution path
     Every query, wherever it runs, goes through :func:`_execute`: a
@@ -623,54 +624,15 @@ class _ResultSender:
             self.heartbeat()
 
 
-def _attach_shared_image(name: str, nbytes: int) -> LinkedImage:
-    """Unpickle a parent-shipped image out of a shared-memory segment.
-
-    The worker copies the bytes out and detaches immediately — the
-    parent owns the segment's lifetime (unlinked on cache eviction or
-    close), so the attachment must stay out of the resource tracker:
-    spawn children share the parent's tracker process, and a tracked
-    attachment would clobber the parent's own registration for the
-    segment (every worker death by ``os._exit`` — the chaos model —
-    would then leave the shared tracker confused about who owns what).
-    ``track=False`` does that on Python >= 3.13; earlier versions
-    attach-register unconditionally, so registration is suppressed for
-    the duration of the attach instead (the worker loop is
-    single-threaded, and the patch filters only shared-memory
-    registrations).
-    """
-    from multiprocessing import shared_memory
-    try:
-        shm = shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        from multiprocessing import resource_tracker
-        original = resource_tracker.register
-
-        def _register(rname, rtype, _original=original):
-            if rtype != "shared_memory":
-                _original(rname, rtype)
-
-        resource_tracker.register = _register
-        try:
-            shm = shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-    try:
-        return pickle.loads(bytes(shm.buf[:nbytes]))
-    finally:
-        shm.close()
-
-
 def _worker_main(worker_id: int, task_queue, result_conn,
                  max_machines: int) -> None:
     """The worker process loop (must stay a module-level function: the
     spawn start method imports this module and looks it up by name).
 
-    Protocol, parent to worker:
+    Protocol, parent to worker, all on one FIFO task queue that only
+    the parent's collector thread writes (so an image always arrives
+    before the chunks that name it):
       ``("image", key, payload)`` — register a pickled image,
-      ``("image_shm", key, segment_name, nbytes)`` — register an image
-      from a parent-owned shared-memory segment (copied out and
-      detached on arrival),
       ``("drop", key)`` — forget a registered image (cache eviction),
       ``("tasks", key, [(index, attempt, opts, ckpt_or_None), ...])``
       — execute a micro-batch of same-image queries in order,
@@ -715,37 +677,19 @@ def _worker_main(worker_id: int, task_queue, result_conn,
             _, key, payload = message
             images[key] = pickle.loads(payload)
             continue
-        if kind == "image_shm":
-            _, key, name, nbytes = message
-            try:
-                images[key] = _attach_shared_image(name, nbytes)
-            except Exception:
-                # Segment gone (evicted in a rare race): leave the key
-                # unregistered; the tasks below fail ImageUnavailable
-                # and the parent re-ships on retry.
-                images.pop(key, None)
-            continue
         if kind == "drop":
             _, key = message
             images.pop(key, None)
             pool.drop(key)
             continue
         _, key, tasks = message
-        image = images.get(key)
+        image = images[key]
         try:
             for index, attempt, opts, payload in tasks:
-                if image is None:
-                    outcome = ("err", QueryError(
-                        kind="ImageUnavailable",
-                        message=f"image {key[:12]}... not registered "
-                                f"with worker {worker_id}",
-                        transient=True), None)
-                else:
-                    outcome = _execute(
-                        pool, key, image, opts, payload,
-                        partial(sender.checkpoint, index, attempt),
-                        sender.tick)
-                sender.add((index, attempt) + outcome)
+                sender.add((index, attempt) + _execute(
+                    pool, key, image, opts, payload,
+                    partial(sender.checkpoint, index, attempt),
+                    sender.tick))
         except ChaosKilled:
             sender.flush()
             result_conn.close()
@@ -884,14 +828,13 @@ class QueryService:
                          if quarantine is not None else None)
         self._supervisor = (WorkerSupervisor(supervisor)
                             if supervisor is not None else None)
+        #: key -> the image pickled once per service, queued to each
+        #: worker incarnation that needs it (``_shipped``).
         self._payloads: Dict[str, bytes] = {}
-        #: key -> (SharedMemory segment, payload length).  The parent
-        #: owns every segment: created on first ship, unlinked on cache
-        #: eviction or close; workers copy out and detach immediately.
-        self._segments: Dict[str, Tuple] = {}
-        self._ship_lock = threading.Lock()
+        #: keys the cache evicted, parked by the listener (on whatever
+        #: thread called the cache) until the collector applies them.
         self._pending_drops: Set[str] = set()
-        self._use_shm = True
+        self._drops_lock = threading.Lock()
         self._eviction_listener: Optional[Callable[[str], None]] = None
         self._context = mp.get_context("spawn")
         #: per-worker result pipes (receive ends).  One single-writer
@@ -918,9 +861,9 @@ class QueryService:
         if workers:
             for worker_id in range(workers):
                 self._spawn_worker(worker_id)
-            # Keep the parent's derived per-key state (payloads,
-            # segments, worker shipped-image records) in step with the
-            # cache.  The listener holds the service only weakly: the
+            # Keep the parent's derived per-key state (payloads and
+            # worker shipped-image records) in step with the cache.
+            # The listener holds the service only weakly: the
             # process-global cache outlives any one service, and a
             # strong reference from it would keep a dropped service —
             # and its worker processes — alive forever.
@@ -1051,6 +994,17 @@ class QueryService:
                     process.join(timeout=_CLOSE_GRACE)
                 except Exception:
                     pass
+            # Stop every queue's feeder thread now: a live one keeps
+            # the queue's semaphores registered with the resource
+            # tracker past close().  A worker that did not exit cleanly
+            # may have left messages unread, which the feeder could
+            # block on forever, so its queue is not waited for.
+            for process, task_queue in zip(self._processes,
+                                           self._task_queues):
+                if process.exitcode != 0:
+                    task_queue.cancel_join_thread()
+                task_queue.close()
+                task_queue.join_thread()
         except Exception:
             pass
         for conn in self._result_conns:
@@ -1058,14 +1012,6 @@ class QueryService:
                 conn.close()
             except Exception:
                 pass
-        for entry in list(getattr(self, "_segments", {}).values()):
-            segment = entry[0]
-            try:
-                segment.close()
-                segment.unlink()
-            except Exception:
-                pass
-        self._segments = {}
         self._payloads = {}
         self._pending_drops = set()
         self._processes = []
@@ -1359,17 +1305,12 @@ class QueryService:
         # Machine and compile failures are deterministic and permanent;
         # a deadline abandonment (WallTimeout/DeadlineExceeded) is a
         # transient host event — same disposition as a parent-side
-        # expiry, minus the kill and respawn.  ImageUnavailable means
-        # the worker's segment attach lost a race with a cache
-        # eviction: forget the ship record so the retry re-ships a
-        # fresh copy.
+        # expiry, minus the kill and respawn.
         error.attempts = attempt
         if error.kind in ("WallTimeout", "DeadlineExceeded"):
             self._counters["deadline_abandons"] += 1
             if error.kind == "WallTimeout":
                 self._counters["timeouts"] += 1
-        elif error.kind == "ImageUnavailable":
-            self._shipped[worker_id].discard(state.prepared[index][0])
         if worker_id < 0:
             self._settle(state, index, "failed", stats=partial_stats,
                          error=error)
@@ -1457,27 +1398,12 @@ class QueryService:
 
     def _ship_image(self, worker_id: int, key: str,
                     image: LinkedImage) -> None:
-        """Make ``key`` available to ``worker_id`` (idempotent).
-
-        Preferred transport is a parent-owned shared-memory segment:
-        the image is pickled once per service and every worker —
-        including every respawn — registers it with a constant-size
-        ``("image_shm", ...)`` message instead of re-receiving the
-        payload over its pipe.  If creating a segment fails (no shared
-        memory on this platform, or the platform refuses one) the
-        service falls back permanently to per-worker queue shipping
-        with a parent-side pickle cache.
-        """
+        """Queue ``key``'s image to ``worker_id`` unless this worker
+        incarnation already holds it.  The image is pickled once per
+        service; the chunk queued after it on the same FIFO queue
+        always finds it registered."""
         if key in self._shipped[worker_id]:
             return
-        if self._use_shm:
-            entry = self._segment_for(key, image)
-            if entry is not None:
-                segment, nbytes = entry
-                self._task_queues[worker_id].put(
-                    ("image_shm", key, segment.name, nbytes))
-                self._shipped[worker_id].add(key)
-                return
         payload = self._payloads.get(key)
         if payload is None:
             payload = pickle.dumps(image, protocol=pickle.HIGHEST_PROTOCOL)
@@ -1485,72 +1411,32 @@ class QueryService:
         self._task_queues[worker_id].put(("image", key, payload))
         self._shipped[worker_id].add(key)
 
-    def _segment_for(self, key: str, image: LinkedImage):
-        """The ``(SharedMemory, nbytes)`` entry backing ``key``,
-        created on first use (and re-created after a cache-eviction
-        drop when the key comes back).  Returns ``None`` — and flips
-        the service to queue shipping for good — if the platform
-        refuses segment creation."""
-        entry = self._segments.get(key)
-        if entry is not None:
-            return entry
-        payload = pickle.dumps(image, protocol=pickle.HIGHEST_PROTOCOL)
-        try:
-            from multiprocessing import shared_memory
-            segment = shared_memory.SharedMemory(
-                create=True, size=max(1, len(payload)))
-            segment.buf[:len(payload)] = payload
-        except Exception:
-            self._use_shm = False
-            return None
-        entry = (segment, len(payload))
-        self._segments[key] = entry
-        return entry
-
     def _on_cache_eviction(self, key: str) -> None:
-        """The :class:`ImageCache` dropped ``key``: drop everything the
-        service derived from it — the parent-side pickle, the shared
-        segment, and the workers' registered copies — so no per-key
-        state outlives the cache entry.
-
-        Deferred while a batch is collecting: a chunk already queued
-        against the segment must still be able to attach, so the drop
-        is parked and processed when the batch ends (or at close).
-        """
-        if getattr(self, "_closed", True) or not self.workers:
+        """The :class:`ImageCache` dropped ``key``.  This may run on any
+        thread that calls the cache, so it only parks the key: the
+        collector's thread applies it (:meth:`_apply_drops`) at the end
+        of the batch that saw it, or of the next batch, and
+        :meth:`close` discards what is left."""
+        if self._closed:
             return
-        with self._ship_lock:
-            if self._batch is not None:
-                self._pending_drops.add(key)
-                return
-        self._drop_key_now(key)
+        with self._drops_lock:
+            self._pending_drops.add(key)
 
-    def _drop_key_now(self, key: str) -> None:
-        self._payloads.pop(key, None)
-        entry = self._segments.pop(key, None)
-        if entry is not None:
-            segment = entry[0]
-            try:
-                segment.close()
-                segment.unlink()
-            except Exception:
-                pass
-        for worker_id, shipped in enumerate(self._shipped):
-            if key not in shipped:
-                continue
-            shipped.discard(key)
-            try:
+    def _apply_drops(self) -> None:
+        """Apply every parked eviction on the collector's thread: forget
+        the key's pickle and shipped records, and queue ``("drop",
+        key)`` to each live worker that holds it, behind every image
+        and chunk already queued to that worker."""
+        with self._drops_lock:
+            keys, self._pending_drops = self._pending_drops, set()
+        for key in keys:
+            self._payloads.pop(key, None)
+            for worker_id, shipped in enumerate(self._shipped):
+                if key not in shipped:
+                    continue
+                shipped.discard(key)
                 if self._processes[worker_id].is_alive():
-                    self._task_queues[worker_id].put_nowait(("drop", key))
-            except Exception:
-                pass
-
-    def _flush_pending_drops(self) -> None:
-        with self._ship_lock:
-            drops = list(self._pending_drops)
-            self._pending_drops.clear()
-        for key in drops:
-            self._drop_key_now(key)
+                    self._task_queues[worker_id].put(("drop", key))
 
     def _run_pooled(self, state: _BatchState) -> None:
         """The collector: serve the batch on the worker pool in turns.
@@ -1602,9 +1488,8 @@ class QueryService:
                 self._reap(state)
         finally:
             self._respawn_due(state)
-            with self._ship_lock:
-                self._batch = None
-            self._flush_pending_drops()
+            self._batch = None
+            self._apply_drops()
 
     def _wait_interval(self, state: _BatchState) -> float:
         """How long the collector may block before something (a kill

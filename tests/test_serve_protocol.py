@@ -1,16 +1,19 @@
-"""The shared-memory + micro-batch + streaming IPC protocol (ISSUE 7).
+"""The data-plane protocol: images, micro-batches, streamed results.
 
-Covers the data-plane rebuild end to end: shared-memory segment
-lifecycle (ship-once, eviction in step with the ImageCache, unlink on
-close, no leaks after chaos kills), the parent-side pickle-cache
-bound (the seed grew ``_payloads`` without bound and never cleared it
-on close), micro-batch chunking at ``batch_max``, worker heartbeats
-that actually reset, the streamed-result sender's flush cadence, and
-bit-identical results across protocol configurations under chaos.
+Covers image shipping over each worker's task queue end to end (one
+pickle per image per service, re-queued to every respawned worker,
+derived state dropped in step with the ImageCache even when the
+eviction fires on another thread, everything cleared on close, and no
+queue feeder thread left running after close), micro-batch chunking
+at ``batch_max``, worker heartbeats that actually reset, the
+streamed-result sender's flush cadence, and bit-identical results
+across protocol configurations under chaos.
 
 Worker processes are real ``spawn`` children, so this file keeps the
 pools small and closes them promptly."""
 
+import sys
+import threading
 import time
 from collections import deque
 
@@ -41,76 +44,70 @@ def _variant_programs(count):
     return {f"facts{i}": FACTS + f" extra{i}(x)." for i in range(count)}
 
 
-def _segment_names(service):
-    return [entry[0].name for entry in service._segments.values()]
-
-
-def _attachable(name):
-    from multiprocessing import shared_memory
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    segment.close()
-    return True
-
-
-@pytest.fixture
-def no_shm(monkeypatch):
-    """Make creating a shared-memory segment fail in this (the parent)
-    process, so a service falls back to per-worker queue shipping."""
-    from multiprocessing import shared_memory
-
-    def refuse(*args, **kwargs):
-        raise OSError("shared memory refused for this test")
-
-    monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
-
-
-def _shm_or_queue(use_shm, request):
-    """Pin a parametrized test to one image transport."""
-    if use_shm:
-        pytest.importorskip("multiprocessing.shared_memory")
-    else:
-        request.getfixturevalue("no_shm")
-
-
 # -- the parent-side pickle cache is bounded by the ImageCache ---------------
 
-@pytest.mark.parametrize("use_shm", [False, True])
-def test_derived_state_evicted_with_cache(use_shm, request):
+def test_derived_state_evicted_with_cache():
     """Regression for the unbounded ``_payloads`` dict: when the
     ImageCache evicts a key, every piece of derived per-key state —
-    the parent-side pickle, the shared segment, the workers' shipped
-    records — must go with it, between batches."""
-    _shm_or_queue(use_shm, request)
+    the parent-side pickle and the workers' shipped records — must go
+    with it by the end of the batch that saw the eviction."""
     programs = _variant_programs(6)
     cache = ImageCache(max_entries=2)
     with QueryService(programs, workers=1, cache=cache) as service:
         for i in range(6):
             assert service.run((f"facts{i}", "colour(C)")).ok
         # The cache holds at most 2 images; the service must not be
-        # holding payloads/segments for the 4+ evicted keys.
+        # holding payloads for the 4+ evicted keys.
         assert len(service._payloads) <= 2
-        assert len(service._segments) <= 2
         live = {key for key in cache._images}
         assert set(service._payloads) <= live
-        assert set(service._segments) <= live
         assert all(set(shipped) <= live
                    for shipped in service._shipped)
 
 
-def test_close_clears_payloads_and_segments(no_shm):
+def test_eviction_on_another_thread_never_strands_a_chunk():
+    """An eviction can fire on any thread that calls the cache.  One
+    thread evicts the served image in a tight loop while the main
+    thread runs batches: the listener only parks the key and the
+    collector applies the drop behind everything it queued, so every
+    chunk finds its image on the worker and every slot succeeds."""
+    cache = ImageCache(max_entries=8)
+    key = image_key(FACTS, "colour(C)")
+    stop = threading.Event()
+    interval = sys.getswitchinterval()
+    with QueryService(FACTS, workers=1, cache=cache) as service:
+        assert service.run("colour(C)").ok
+
+        def evict_until_stopped():
+            while not stop.is_set():
+                service._on_cache_eviction(key)
+
+        evictor = threading.Thread(target=evict_until_stopped, daemon=True)
+        sys.setswitchinterval(1e-6)
+        try:
+            evictor.start()
+            errors = [result.error for result in
+                      (service.run("colour(C)") for _ in range(200))
+                      if not result.ok]
+        finally:
+            stop.set()
+            evictor.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not evictor.is_alive()
+        assert errors == []
+
+
+def test_close_clears_payloads():
     """Regression: the seed's close() reset queues and pools but left
     ``_payloads`` populated for the life of the service object."""
     service = QueryService(PROGRAMS, workers=1)
     try:
         assert service.run(("facts", "colour(C)")).ok
-        assert service._payloads      # fallback path populated it
+        assert service._payloads      # the image was pickled to ship
     finally:
         service.close()
     assert service._payloads == {}
-    assert service._segments == {}
+    assert service._shipped == []
 
 
 def test_eviction_listener_removed_on_close():
@@ -122,43 +119,19 @@ def test_eviction_listener_removed_on_close():
     assert cache._eviction_listeners == []
 
 
-# -- shared-memory lifecycle -------------------------------------------------
+# -- images over the task queue ----------------------------------------------
 
-def test_shm_ships_once_and_unlinks_on_close():
-    pytest.importorskip("multiprocessing.shared_memory")
-    service = QueryService(PROGRAMS, workers=2)
-    try:
-        assert service._use_shm
-        batch = [("facts", "colour(C)"), ("append", "append([1], [2], X)"),
-                 ("nrev", "run(5, R)")] * 3
-        results = service.run_many(batch)
-        assert all(r.ok for r in results)
-        # Shared-memory mode never builds the parent-side pickle dict.
-        assert service._payloads == {}
-        names = _segment_names(service)
-        assert len(names) == 3        # one segment per distinct image
-        assert all(_attachable(name) for name in names)
-    finally:
-        service.close()
-    # The parent owned every segment; close() unlinked them all.
-    assert service._segments == {}
-    assert not any(_attachable(name) for name in names)
-
-
-def test_shm_survives_chaos_kill_without_leaking():
-    """A chaos-killed worker dies by ``os._exit`` holding nothing: the
-    respawned worker re-registers images from the same segments, the
-    retried queries succeed bit-identically, and close() still unlinks
-    every segment (the kill leaked no tracker registrations that could
-    unlink the parent's segments early or double-free at exit)."""
-    pytest.importorskip("multiprocessing.shared_memory")
+def test_chaos_kill_reships_images_to_respawned_workers():
+    """A chaos-killed worker dies by ``os._exit`` holding nothing: each
+    respawned worker receives the image again before its first chunk,
+    the retried queries come back bit-identical, and the parent keeps
+    one pickle per image across the respawns."""
     batch = [("nrev", "run(20, R)"), ("nrev", "run(15, R)")]
     with QueryService(PROGRAMS, workers=0) as reference:
         expected = reference.run_many(batch)
     chaos = ChaosPolicy(seed=3, kill_rate=1.0, kill_window=(500, 2_000),
                         max_kills_per_slot=1)
-    service = QueryService(PROGRAMS, workers=2)
-    try:
+    with QueryService(PROGRAMS, workers=2) as service:
         results = service.run_many(
             batch, chaos=chaos,
             retry=RetryPolicy(max_attempts=3, base_delay_s=0.01))
@@ -166,25 +139,11 @@ def test_shm_survives_chaos_kill_without_leaking():
         assert health.crashes == 2 and health.retries == 2
         for want, got in zip(expected, results):
             assert got.ok and got.solutions == want.solutions
-        names = _segment_names(service)
-        assert names and all(_attachable(name) for name in names)
-    finally:
-        service.close()
-    assert not any(_attachable(name) for name in names)
-
-
-def test_queue_fallback_when_shm_disabled(no_shm):
-    batch = [("facts", "colour(C)"), ("nrev", "run(8, R)")]
-    with QueryService(PROGRAMS, workers=0) as reference:
-        expected = reference.run_many(batch)
-    with QueryService(PROGRAMS, workers=1) as service:
-        results = service.run_many(batch)
-        assert not service._use_shm   # the refused segment flipped it
-        assert service._segments == {}
-        assert service._payloads    # the queue path pickles parent-side
-    for want, got in zip(expected, results):
-        assert got.ok and got.solutions == want.solutions
-        assert got.stats == want.stats
+            assert got.stats == want.stats
+        assert set(service._payloads) == {
+            image_key(NREV, query) for _, query in batch}
+        assert all(shipped <= set(service._payloads)
+                   for shipped in service._shipped)
 
 
 # -- micro-batch chunking ----------------------------------------------------
@@ -233,14 +192,11 @@ def test_batch_max_validated():
         QueryService(FACTS, workers=0, batch_max=0)
 
 
-@pytest.mark.parametrize("batch_max,use_shm", [(1, True), (8, True),
-                                               (8, False)])
-def test_chaos_invariant_across_protocol_configs(batch_max, use_shm,
-                                                request):
-    """Micro-batched, singleton and queue-fallback protocols all
-    return bit-identical results under chaos kills: the per-query
-    semantics (retry, resume, accounting) survive coalescing."""
-    _shm_or_queue(use_shm, request)
+@pytest.mark.parametrize("batch_max", [1, 8])
+def test_chaos_invariant_across_protocol_configs(batch_max):
+    """Micro-batched and singleton protocols both return bit-identical
+    results under chaos kills: the per-query semantics (retry, resume,
+    accounting) survive coalescing."""
     from repro.bench.programs import SUITE
     corpus = ["con1", "nrev1", "times10", "log10"]
     programs = {name: SUITE[name].source_pure for name in corpus}
@@ -359,3 +315,24 @@ def test_close_drains_backlog_without_terminate():
         f"worker was terminated (exit {process.exitcode}) instead of "
         f"draining to a clean exit")
     assert elapsed < 10.0
+
+
+def test_close_leaves_no_queue_feeder_threads():
+    """close() closes every task queue and joins its feeder thread.  A
+    feeder still running after close() keeps its queue's semaphores
+    registered with the resource tracker, which then reports them as
+    leaked when it is stopped at interpreter shutdown."""
+    before = set(threading.enumerate())
+    service = QueryService(PROGRAMS, workers=2)
+    # Held across close(): the feeders must stop because close() stops
+    # them, not because the queues happen to be collected first.
+    queues = list(service._task_queues)
+    try:
+        results = service.run_many(
+            [("facts", "colour(C)"), ("nrev", "run(8, R)")] * 2)
+        assert all(result.ok for result in results)
+    finally:
+        service.close()
+    left = [thread.name for thread in threading.enumerate()
+            if thread not in before]
+    assert left == [], f"threads left after closing {len(queues)} queues"
