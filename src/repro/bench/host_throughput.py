@@ -20,15 +20,23 @@ frequency steps) land entirely on one mode and decide the speedup
 verdict; alternating passes expose both modes to the same epochs, so
 best-of-N compares like with like.
 
+Every rep also times a *cold* pass, interleaved with the warm ones: a
+fresh fast-path machine over each program's cached image, from
+``Machine()`` to the end of its first run — what a machine-pool miss
+pays on an image whose superop code is already compiled.  Its best-of-N
+is ``cold_ms``, and ``cold_over_warm`` relates the cold total to the
+warm fast total.
+
 Every measurement round also cross-checks that the two configurations
 produced bit-identical simulated results (cycles, instructions,
-inferences, data accesses, solutions) — a throughput number for a fast
+inferences, data accesses, solutions), the cold machines against a
+fresh ablation machine's first run — a throughput number for a fast
 path that diverges from the reference semantics would be meaningless.
 
 The report is emitted as ``BENCH_host_throughput.json``; the committed
 copy at the repository root is the regression baseline CI gates on
-(dimensionless speedup ratio, not absolute wall-clock, so runner
-hardware does not matter).
+(dimensionless ratios, not absolute wall-clock, so runner hardware
+does not matter).
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ import math
 import time
 from typing import Dict, List, Optional
 
-from repro.bench.programs import SUITE_ORDER
+from repro.bench.programs import SUITE, SUITE_ORDER
 from repro.bench.runner import SuiteRunner
 from repro.core.machine import Machine
 
@@ -46,13 +54,21 @@ from repro.core.machine import Machine
 #: Subset used by the CI smoke run: two short and two medium programs.
 QUICK_PROGRAMS = ["con6", "nrev1", "qs4", "times10"]
 
+#: Allowed growth of ``cold_over_warm`` over the committed ratio.  The
+#: committed full-suite ratio is 1.07x; the four ``QUICK_PROGRAMS`` are
+#: short, so a fresh machine's fixed cost weighs more there.  Twelve
+#: ``--quick`` runs on a shared 2-vCPU host read 1.43-1.80x with each
+#: block's superop code bound from the image's memo, and 2.47-2.71x
+#: when every later machine regenerated its source.  The ceiling, twice
+#: the committed ratio (2.14x), sits between the two spreads.
+COLD_TOLERANCE = 1.0
 
-def _identity_key(runner: SuiteRunner, name: str, variant: str):
+
+def _identity_key(machine: Machine):
     """The simulated observables one measured run must reproduce:
     the cycle/instruction/inference/memory counters plus the rendered
     solution bindings themselves — a fast path that returned the right
     counts with the wrong answers must still fail the check."""
-    machine = runner.load(name, variant)
     stats = machine.stats
     return (stats.cycles, stats.instructions, stats.inferences,
             stats.data_reads, stats.data_writes,
@@ -74,16 +90,25 @@ def measure_suite(programs: Optional[List[str]] = None,
     ablation = SuiteRunner(machine_factory=lambda s: Machine(
         symbols=s, fast_path=False))
 
-    # Load, warm and identity-check every program up front.
+    def identical(name):
+        return _identity_key(fast.load(name, variant)) \
+            == _identity_key(ablation.load(name, variant))
+
+    # Load, warm and identity-check every program up front.  The first
+    # fast-path run over each image also compiles its superop code, so
+    # every cold machine below binds it from the image's memo.
+    cold_reference = {}
     for name in names:
         fast.run(name, variant, warm=True)
         ablation.run(name, variant, warm=True)
-        assert _identity_key(fast, name, variant) \
-            == _identity_key(ablation, name, variant), \
+        assert identical(name), \
             f"{name}: fast path diverged from the ablation"
+        cold_reference[name] = _identity_key(
+            _cold_run(ablation.load(name, variant).image, name, False))
 
     best_fast = {name: float("inf") for name in names}
     best_ablation = {name: float("inf") for name in names}
+    best_cold = {name: float("inf") for name in names}
     for rep in range(reps):
         pair = ((fast, best_fast), (ablation, best_ablation))
         if rep % 2:
@@ -94,8 +119,15 @@ def measure_suite(programs: Optional[List[str]] = None,
                 runner.run(name, variant, warm=False)
                 best[name] = min(best[name], time.perf_counter() - t0)
         for name in names:
-            assert _identity_key(fast, name, variant) \
-                == _identity_key(ablation, name, variant), \
+            image = fast.load(name, variant).image
+            t0 = time.perf_counter()
+            machine = _cold_run(image, name, True)
+            best_cold[name] = min(best_cold[name],
+                                  time.perf_counter() - t0)
+            assert _identity_key(machine) == cold_reference[name], \
+                f"{name}: cold fast path diverged from the ablation"
+        for name in names:
+            assert identical(name), \
                 f"{name}: fast path diverged from the ablation"
 
     rows = {}
@@ -112,9 +144,11 @@ def measure_suite(programs: Optional[List[str]] = None,
             "inferences": inferences,
             "host_klips_fast": round(inferences / f_s / 1e3, 2),
             "host_klips_ablation": round(inferences / a_s / 1e3, 2),
+            "cold_ms": round(best_cold[name] * 1e3, 4),
         }
     total_fast = sum(best_fast.values())
     total_ablation = sum(best_ablation.values())
+    total_cold = sum(best_cold.values())
     return {
         "suite": f"kcm-{variant}",
         "reps": reps,
@@ -126,9 +160,20 @@ def measure_suite(programs: Optional[List[str]] = None,
             "geomean_speedup": round(
                 math.exp(sum(math.log(r) for r in ratios) / len(ratios)),
                 3),
+            "cold_ms_total": round(total_cold * 1e3, 3),
+            "cold_over_warm": round(total_cold / total_fast, 3),
         },
         "identity_checked": True,
     }
+
+
+def _cold_run(image, name: str, fast_path: bool) -> Machine:
+    """A fresh machine over ``image``, run once; returns the machine."""
+    machine = Machine(symbols=image.symbols, fast_path=fast_path)
+    image.install(machine)
+    machine.run(image.entry, collect_all=SUITE[name].all_solutions,
+                answer_names=image.query_variable_names)
+    return machine
 
 
 def write_report(report: Dict, path: str) -> None:
@@ -142,20 +187,37 @@ def check_regression(report: Dict, baseline_path: str,
                      max_regression: float = 0.25) -> str:
     """Compare ``report`` against a committed baseline report.
 
-    The gated quantity is the *aggregate speedup ratio* — dimensionless,
-    so it transfers across runner hardware, unlike absolute wall-clock.
-    Raises ``AssertionError`` when the current ratio has lost more than
-    ``max_regression`` of the committed one; returns a one-line summary
-    otherwise.
+    Two dimensionless ratios are gated, so they transfer across runner
+    hardware, unlike absolute wall-clock: the *aggregate speedup*, which
+    must not lose more than ``max_regression`` of the committed one, and
+    ``cold_over_warm``, which must not grow more than
+    :data:`COLD_TOLERANCE` over the committed one.  Raises
+    ``AssertionError`` naming every gate that fails; returns a one-line
+    summary otherwise.
     """
     with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    committed = baseline["aggregate"]["speedup"]
-    current = report["aggregate"]["speedup"]
+        baseline = json.load(handle)["aggregate"]
+    current = report["aggregate"]
+    committed = baseline["speedup"]
+    speedup = current["speedup"]
     floor = committed * (1.0 - max_regression)
-    assert current >= floor, (
-        f"host-throughput regression: aggregate speedup {current:.3f}x "
-        f"is below {floor:.3f}x ({100 * max_regression:.0f}% under the "
-        f"committed {committed:.3f}x)")
-    return (f"aggregate speedup {current:.3f}x vs committed "
-            f"{committed:.3f}x (floor {floor:.3f}x) — ok")
+    committed_cold = baseline["cold_over_warm"]
+    cold = current["cold_over_warm"]
+    ceiling = committed_cold * (1.0 + COLD_TOLERANCE)
+    failures = []
+    if speedup < floor:
+        failures.append(
+            f"aggregate speedup {speedup:.3f}x is below {floor:.3f}x "
+            f"({100 * max_regression:.0f}% under the committed "
+            f"{committed:.3f}x)")
+    if cold > ceiling:
+        failures.append(
+            f"cold_over_warm {cold:.3f}x is above {ceiling:.3f}x "
+            f"({100 * COLD_TOLERANCE:.0f}% over the committed "
+            f"{committed_cold:.3f}x)")
+    assert not failures, \
+        "host-throughput regression: " + "; ".join(failures)
+    return (f"aggregate speedup {speedup:.3f}x vs committed "
+            f"{committed:.3f}x (floor {floor:.3f}x), cold_over_warm "
+            f"{cold:.3f}x vs committed {committed_cold:.3f}x (ceiling "
+            f"{ceiling:.3f}x) — ok")

@@ -122,9 +122,14 @@ class LinkedImage:
         # The code zone changed wholesale: the predecoded dispatch
         # table (repro.core.predecode) is stale.
         machine.invalidate_predecode()
-        # Every machine over this image shares one memo of compiled
-        # superop code (repro.core.superops), created on first install;
-        # it lives and dies with the image and is never pickled.
+        # Every machine over this image shares one superop memo
+        # (repro.core.superops), created on first install: each fused
+        # block is generated and compiled once per machine
+        # configuration, and every machine binds its own objects into
+        # the code.  The instruction objects are the image's own (the
+        # list is copied, not its entries), which the memo's key relies
+        # on.  The memo lives and dies with the image and is never
+        # pickled.
         machine._superop_code = vars(self).setdefault("_superop_code", {})
 
 

@@ -178,8 +178,10 @@ class Machine:
         #: predecoded block table (repro.core.predecode), built lazily
         #: per code image and dropped whenever the code zone changes.
         self._predecoded: Optional[PredecodedCode] = None
-        #: compiled superop code shared with every machine over the
-        #: same image (set by LinkedImage.install; None: no sharing).
+        #: the image's superop memo (repro.core.superops): each fused
+        #: block's code object and the recipe that binds this machine's
+        #: objects into it, shared with every machine over the same
+        #: image (set by LinkedImage.install; None: no sharing).
         self._superop_code: Optional[dict] = None
         #: code-zone generation: bumped by every code writer (including
         #: same-length in-place rewrites via patch_code, which a code-
@@ -278,11 +280,12 @@ class Machine:
         The fused memory closures (installed as instance attributes
         ``_read``/``_write``/``deref`` for the duration of one run),
         the dispatch table of bound methods and lambdas, the
-        predecoded block table and the image's superop code memo are
-        all excluded; every one is rebuilt deterministically — the
-        dispatch table eagerly on unpickle, the closures on the next
-        run, the predecode table lazily by :meth:`_ensure_predecoded`
-        and its superops afresh as blocks are entered.
+        predecoded block table and the image's superop memo (code
+        objects cannot be pickled) are all excluded; every one is
+        rebuilt deterministically — the dispatch table eagerly on
+        unpickle, the closures on the next run, the predecode table
+        lazily by :meth:`_ensure_predecoded` and its superops afresh,
+        generated and compiled, as blocks are entered.
         """
         state = self.__dict__.copy()
         for derived in ("_read", "_write", "deref"):
@@ -1158,8 +1161,10 @@ class Machine:
         when the code changed since the last build.  With
         ``features.superops`` on, each block is fused into a single
         closure (repro.core.superops) the first time a run enters it,
-        not here; the table keeps its closures across
-        ``reset_for_reuse``."""
+        not here: bound from the image's memo, and generated and
+        compiled only if no machine over the image with this
+        configuration has entered it yet.  The table keeps its closures
+        across ``reset_for_reuse``."""
         table = self._predecoded
         if table is None or not table.valid_for(self.code,
                                                 self._code_generation):

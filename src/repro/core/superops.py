@@ -21,6 +21,15 @@ are baked in as literals, the common data-movement and unification
 opcodes are inlined, and everything else calls the ordinary bound
 handler.
 
+Each block is generated and compiled once per image and machine
+configuration.  The machine's objects the closure needs (register
+cells, caches, counters, zone entries, bound handlers) are not in the
+source: they are its parameters' defaults, and a :class:`_Recipe`
+recorded at generation derives each default from any machine.  The
+image's memo keeps the code object with its recipe, so every machine,
+the first included, gets its closure from one bind step,
+``types.FunctionType(code, globals, "_superop", defaults)``.
+
 Correctness contract (the reason this is safe to switch on by
 default): a fused block produces *bit-identical* simulated statistics
 and solutions to running its instructions one step at a time, which in
@@ -53,13 +62,21 @@ fused.  ``Features.superops=False`` ablates the layer independently of
 from __future__ import annotations
 
 import builtins
-from types import CodeType
-from typing import Callable, Dict, List, Optional, Tuple
+from types import CodeType, FunctionType
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.opcodes import ArithOp, Op, TestOp
 from repro.core.registers import X_REGISTERS
 from repro.core.word import Type, Word, Zone
 from repro.errors import ArithmeticError_
+
+#: The globals of every superop: builtins only, so a closure reaches
+#: machine objects through its defaults and nothing else.
+_GLOBALS = {"__builtins__": builtins}
+
+_OPS = tuple(Op)
+_ARITH_OPS = tuple(ArithOp)
+_PLAIN_OPERANDS = frozenset((int, type(None)))
 
 
 class _Demote(Exception):
@@ -68,37 +85,97 @@ class _Demote(Exception):
     is emitted through its bound handler instead."""
 
 
-class _Gen:
-    """Accumulates generated source lines plus the closure environment
-    (constants passed as default arguments, so they are LOAD_FAST in
-    the compiled closure)."""
+class _Recipe(NamedTuple):
+    """How to derive a superop's parameter defaults on any machine, in
+    parameter order: the fixed-environment names, the ``(k, field)``
+    of step ``k`` of the block (its bound handler or its
+    ``Instruction``), the zones whose ``ZoneChecker`` entries it
+    reads, then the immutable constants themselves."""
 
-    def __init__(self, fixed_env: Dict[str, object]) -> None:
+    fixed: Tuple[str, ...]
+    steps: Tuple[Tuple[int, int], ...]
+    zones: Tuple[Zone, ...]
+    consts: Tuple[object, ...]
+
+
+class _Gen:
+    """Accumulates generated source lines and the closure's parameters
+    (passed as defaults, so they are LOAD_FAST in the compiled
+    closure), recording for each parameter where its default comes
+    from: one of the four kinds of :class:`_Recipe`."""
+
+    #: step-tuple fields a parameter can take: (handler, ..., instr).
+    HANDLER = 0
+    INSTR = 4
+
+    def __init__(self) -> None:
         self.lines: List[str] = []
-        self._fixed_env = fixed_env
-        self.env: Dict[str, object] = {"m": fixed_env["m"]}
-        self._const_names: Dict[int, str] = {}
+        self._fixed: Dict[str, None] = {"m": None}
+        self._steps: Dict[Tuple[int, int], str] = {}
+        self._zones: Dict[Zone, str] = {}
+        self._consts: Dict[int, Tuple[str, object]] = {}
         self._counter = 0
 
     def line(self, indent: int, text: str) -> None:
         self.lines.append("    " * indent + text)
 
+    def _name(self, hint: str) -> str:
+        name = f"{hint}{self._counter}"
+        self._counter += 1
+        return name
+
     def use(self, name: str) -> str:
         """Bind one of the fixed environment objects into the closure."""
-        self.env[name] = self._fixed_env[name]
+        self._fixed[name] = None
+        return name
+
+    def step(self, k: int, field: int, hint: str) -> str:
+        """Bind field ``field`` of step ``k`` of the machine's block."""
+        name = self._steps.get((k, field))
+        if name is None:
+            name = self._steps[(k, field)] = self._name(hint)
+        return name
+
+    def zone(self, zone: Zone) -> str:
+        """Bind the machine's ``ZoneChecker`` entry for ``zone``."""
+        name = self._zones.get(zone)
+        if name is None:
+            name = self._zones[zone] = self._name("Z")
         return name
 
     def const(self, obj, hint: str = "K") -> str:
-        """Bind an arbitrary object (handler, Instruction, Word) as a
-        named default argument; identical objects share one name."""
-        key = id(obj)
-        name = self._const_names.get(key)
-        if name is None:
-            name = f"{hint}{self._counter}"
-            self._counter += 1
-            self._const_names[key] = name
-            self.env[name] = obj
-        return name
+        """Bind an immutable constant (a ``Word``, a switch table, the
+        suffix sums) that every machine shares; identical objects share
+        one name."""
+        bound = self._consts.get(id(obj))
+        if bound is None:
+            bound = self._consts[id(obj)] = (self._name(hint), obj)
+        return bound[0]
+
+    def header(self) -> str:
+        """The ``def`` line: parameters in :class:`_Recipe` order."""
+        names = [*self._fixed, *self._steps.values(),
+                 *self._zones.values(),
+                 *(name for name, _ in self._consts.values())]
+        return f"def _superop({', '.join(names)}):"
+
+    def recipe(self) -> _Recipe:
+        return _Recipe(tuple(self._fixed), tuple(self._steps),
+                       tuple(self._zones),
+                       tuple(obj for _, obj in self._consts.values()))
+
+
+def _instr_key(instr):
+    """An instruction's part of a block's memo key (see
+    :class:`SuperopFuser`): its content when every operand is a plain
+    ``int`` or ``None``, else the object itself."""
+    if (type(instr.a) in _PLAIN_OPERANDS
+            and type(instr.b) in _PLAIN_OPERANDS
+            and type(instr.c) in _PLAIN_OPERANDS
+            and type(instr.d) in _PLAIN_OPERANDS):
+        return (instr.op, instr.a, instr.b, instr.c, instr.d,
+                instr.infer, instr.size)
+    return instr
 
 
 def _reg(value) -> int:
@@ -139,12 +216,29 @@ class SuperopFuser:
     table, since a block may first run several warm reuses after the
     translation.
 
-    ``code_memo`` maps ``(address, generated source)`` to the compiled
-    code object.  :meth:`LinkedImage.install` hands every machine it
-    loads the same memo, so only the first machine over an image pays
-    ``compile()``; later ones generate the source, find its code and
-    ``exec`` it, which binds *their* objects as the closure defaults.
-    The key is the exact source, so a hit never runs different code.
+    ``code_memo`` maps a block's key to its compiled ``_superop``
+    code object and the :class:`_Recipe` of its defaults.
+    :meth:`LinkedImage.install` hands every machine it loads the same
+    memo, so only the first machine over an image generates and
+    compiles a block; every machine binds its own objects through the
+    recipe and runs no ``exec``.  The key holds everything the
+    generated source depends on:
+
+    - the block's address;
+    - the machine configuration the emitters bake in (``_config``:
+      code- and data-cache geometry, the zones that have entries, the
+      static cost table and the ``CostModel`` fields the emitters read,
+      the MWAC and shallow-backtracking switches with the MWAC-off
+      penalties, and the nil word), since several configurations share
+      one image;
+    - each instruction of the block: its content when every operand is
+      a plain ``int`` or ``None`` (the bootstrap stub's fresh
+      ``CALL``/``HALT`` per machine), otherwise the object itself.  An
+      image's instructions are shared by every machine it is installed
+      into, and ``patch_code`` brings a new object, which misses.
+      ``Word`` operands are never keyed by value: ``Word.__eq__``
+      equates ``0.0`` and ``-0.0``, which bake as different literals,
+      and a NaN would never hit.
     """
 
     #: Total superop ``compile()`` calls in this process; tests snapshot
@@ -153,7 +247,8 @@ class SuperopFuser:
     compiles_performed = 0
 
     def __init__(self, machine,
-                 code_memo: Optional[Dict[Tuple[int, str], CodeType]] = None
+                 code_memo: Optional[
+                     Dict[tuple, Tuple[CodeType, _Recipe]]] = None
                  ) -> None:
         # Machine is imported lazily: machine.py imports this module at
         # top level for _ensure_predecoded.
@@ -181,7 +276,19 @@ class SuperopFuser:
         self._unify_penalty = features.mwac_off_unify_penalty
         self._switch_penalty = features.mwac_off_switch_penalty
         self._shallow = features.shallow_backtracking
-        self._nil_word = machine.symbols.atom_word("[]")
+        self._nil_word = nil = machine.symbols.atom_word("[]")
+        costs = machine.costs
+        self._config = (
+            self._index_mask, self._tag_shift,
+            self._sectioned, self._section_words, self._d_plain_mask,
+            tuple(self._zone_entries),
+            tuple(map(costs.base.get, _OPS)), costs.dispatch_overhead,
+            costs.test_dispatch, costs.branch_taken_extra,
+            costs.arith_dispatch,
+            tuple(map(costs.arith_int.get, _ARITH_OPS)),
+            tuple(map(costs.arith_float.get, _ARITH_OPS)),
+            self._mwac, self._unify_penalty, self._switch_penalty,
+            self._shallow, nil.tag, nil.value)
         from repro.core import word as _word
         self._fixed_env: Dict[str, object] = {
             "m": machine,
@@ -316,24 +423,34 @@ class SuperopFuser:
         return fuse_on_entry
 
     def fuse(self, address: int, steps: Tuple) -> Callable[[], None]:
-        """Compile the block at ``address`` into one closure."""
-        source, env = self._generate(address, steps)
-        key = (address, source)
-        code = self.code_memo.get(key)
-        if code is None:
-            code = compile(source, f"<superop:{address}>", "exec")
-            self.code_memo[key] = code
+        """The closure of the block at ``address``: its code from the
+        image's memo (generated and compiled on a miss), bound to this
+        machine's objects."""
+        key = (address, self._config, tuple([_instr_key(step[4])
+                                             for step in steps]))
+        memoized = self.code_memo.get(key)
+        if memoized is None:
+            source, recipe = self._generate(address, steps)
+            module = compile(source, f"<superop:{address}>", "exec")
+            code = next(const for const in module.co_consts
+                        if isinstance(const, CodeType))
+            memoized = self.code_memo[key] = (code, recipe)
             SuperopFuser.compiles_performed += 1
-        namespace: Dict[str, object] = {"__builtins__": builtins}
-        namespace.update(env)
-        exec(code, namespace)
-        return namespace["_superop"]
+        code, recipe = memoized
+        fixed = self._fixed_env
+        zones = self._zone_entries
+        defaults = [fixed[name] for name in recipe.fixed]
+        defaults += [steps[k][field] for k, field in recipe.steps]
+        defaults += [zones[zone] for zone in recipe.zones]
+        defaults += recipe.consts
+        return FunctionType(code, _GLOBALS, "_superop", tuple(defaults))
 
     # ------------------------------------------------------------------
     # source generation
     # ------------------------------------------------------------------
 
-    def _generate(self, address: int, steps: Tuple) -> Tuple[str, Dict]:
+    def _generate(self, address: int,
+                  steps: Tuple) -> Tuple[str, _Recipe]:
         count = len(steps)
         # Suffix sums: suf[u] = (cycles, instructions, inferences) of
         # instructions u..count-1 — the share of the block charge to
@@ -345,10 +462,10 @@ class SuperopFuser:
             cost_after, instr_after, infer_after = suf[k + 1]
             suf[k] = (cost_after + steps[k][1], instr_after + 1,
                       infer_after + steps[k][2])
-        gen = _Gen(self._fixed_env)
+        gen = _Gen()
         for name in ("cells", "MEM", "cfetch", "tags", "cs"):
             gen.use(name)
-        gen.env["SUF"] = tuple(suf)
+        suf_name = gen.const(tuple(suf), "SUF")
 
         body: List[Tuple[int, str]] = []   # (indent, text) under `try:`
         uses: set = set()
@@ -392,7 +509,7 @@ class SuperopFuser:
         for indent, text in body:
             gen.line(indent, text)
         lines.append("    except BaseException:")
-        lines.append("        c_, i_, f_ = SUF[u]")
+        lines.append(f"        c_, i_, f_ = {suf_name}[u]")
         lines.append("        m.cycles -= c_")
         lines.append("        stats.instructions -= i_")
         lines.append("        stats.inferences -= f_")
@@ -406,9 +523,8 @@ class SuperopFuser:
         lines.append("        cs.reads += h_")
         lines.append("        cs.read_hits += h_")
 
-        params = ", ".join(f"{name}={name}" for name in gen.env)
-        header = f"def _superop({params}):"
-        return header + "\n" + "\n".join(lines) + "\n", gen.env
+        return (gen.header() + "\n" + "\n".join(lines) + "\n",
+                gen.recipe())
 
     # ------------------------------------------------------------------
     # per-opcode inline emitters.  Each receives a _Chunk positioned
@@ -1140,14 +1256,13 @@ class _Chunk:
         hit needs no address-range test."""
         fuser = self.fuser
         zone = getattr(Zone, zone_name)
-        entry = fuser._zone_entries.get(zone)
         self.use("read", zone_name)
-        if entry is None:
+        if zone not in fuser._zone_entries:
             self.put(f"{target} = read({addr}, {zone_name})", indent)
             return
         self.use("ze")
         self.use_env("dwords", "dtags", "ds", "DPT")
-        en = self.gen.const(entry, "Z")
+        en = self.gen.zone(zone)
         jexpr, shift = fuser._data_index(zone, "ra_")
         self.put(f"ra_ = {addr}", indent)
         self.put(f"{target} = None", indent)
@@ -1174,14 +1289,13 @@ class _Chunk:
         write closure."""
         fuser = self.fuser
         zone = getattr(Zone, zone_name)
-        entry = fuser._zone_entries.get(zone)
         self.use("write", zone_name)
-        if entry is None:
+        if zone not in fuser._zone_entries:
             self.put(f"write({addr}, {word}, {zone_name})", indent)
             return
         self.use("ze")
         self.use_env("dwords", "DSIZE", "dtags", "ddirty", "ds", "DPT")
-        en = self.gen.const(entry, "Z")
+        en = self.gen.zone(zone)
         jexpr, shift = fuser._data_index(zone, "wa_")
         self.put(f"wa_ = {addr}", indent)
         self.put(f"ww_ = {word}", indent)
@@ -1275,8 +1389,8 @@ class _Chunk:
         """Dispatch through the bound handler (opcodes without an
         inline emitter, or inline ones demoted on odd operands), with
         a deviation check on the way out."""
-        handler_name = self.gen.const(step[0], "H")
-        instr_name = self.gen.const(self.instr, "I")
+        handler_name = self.gen.step(self.k, _Gen.HANDLER, "H")
+        instr_name = self.gen.step(self.k, _Gen.INSTR, "I")
         self.put(f"{handler_name}({instr_name})")
         if not self.is_last:
             self.put(f"if m.p != {self.fall_through} or not m.running:")

@@ -12,7 +12,9 @@ runs reach first-argument indexing, cut barriers, shallow and deep
 backtracking, arithmetic traps and cyclic answers in blocks that no
 suite program has, and every block they enter is fused on first entry.
 ``is/2`` also draws float operands, so a product may leave single
-precision.
+precision; since the compiler folds constant arithmetic, one goal
+shape binds ``F`` to a drawn float and squares it, which overflows at
+run time, inside a fused block.
 """
 
 import dataclasses
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 from repro.compiler.linker import Linker
 from repro.core.costs import Features
 from repro.core.machine import Machine
+from repro.core.superops import SuperopFuser
 from repro.core.symbols import SymbolTable
 from repro.errors import ArithmeticError_
 from repro.prolog.writer import term_to_text
@@ -45,7 +48,8 @@ variable = st.sampled_from(("X", "Y", "Z"))
 operand = st.one_of(variable, st.integers(0, 3).map(str))
 #: ``is/2`` operands: also floats, where 1.0e20 * 1.0e20 overflows
 #: single precision.
-number = st.one_of(operand, st.sampled_from(("2.5", "1.0e20")))
+floats = st.sampled_from(("2.5", "1.0e20"))
+number = st.one_of(operand, floats)
 term = st.recursive(
     st.one_of(st.sampled_from(("a", "b", "[]")),
               st.integers(-1, 3).map(str), variable),
@@ -66,7 +70,7 @@ def call(draw, name, arity):
 def goal(draw, arities):
     """One body goal; ``arities`` are those of the callable (lower
     numbered) predicates."""
-    kinds = ("=", "is", "<", "==", "integer", "!")
+    kinds = ("=", "is", "float", "<", "==", "integer", "!")
     kind = draw(st.sampled_from(kinds + ("call",) if arities else kinds))
     if kind == "call":
         callee = draw(st.integers(0, len(arities) - 1))
@@ -77,6 +81,8 @@ def goal(draw, arities):
         return "{} is {} {} {}".format(draw(operand), draw(number),
                                        draw(st.sampled_from("+-*")),
                                        draw(number))
+    if kind == "float":
+        return f"F = {draw(floats)}, {draw(operand)} is F * F"
     if kind == "<":
         return f"{draw(operand)} < {draw(operand)}"
     if kind == "integer":
@@ -152,6 +158,11 @@ def test_every_path_agrees(program):
     assert (fused[0] == STOPPED) == (seed[0] == STOPPED)
     if seed[0] != STOPPED:
         assert fused == seed
+    # A second fused machine over the image binds every block from the
+    # image's memo, compiling nothing, and runs exactly as the first.
+    compiles = SuperopFuser.compiles_performed
+    assert observe_run(machine_over(image, "fused"), image) == fused
+    assert SuperopFuser.compiles_performed == compiles
 
 
 @given(program=programs(), data=st.data())

@@ -1,6 +1,7 @@
 """The superinstruction layer: fused-entry structure, fusion on first
 entry, ablation equivalence, generation-counter staleness, warm-reuse
-translation caching and compile-once superop code per image."""
+translation caching, compile-once superop code per image and the
+memo key that lets every machine bind that code."""
 
 import dataclasses
 import pickle
@@ -9,7 +10,7 @@ import pytest
 
 from repro.api import compile_and_load, run_query
 from repro.bench.programs import SUITE
-from repro.core.costs import Features
+from repro.core.costs import CostModel, Features
 from repro.core.instruction import Instruction
 from repro.core.machine import Machine
 from repro.core.monitor import MacrocodeTracer, attach
@@ -17,7 +18,7 @@ from repro.core.opcodes import Op
 from repro.core.predecode import PredecodedCode, predecode
 from repro.core.superops import SuperopFuser
 from repro.core.symbols import SymbolTable
-from repro.core.word import make_int
+from repro.core.word import make_float, make_int
 from repro.errors import ArithmeticError_
 from repro.prolog.writer import term_to_text
 from repro.serve import EnginePool, ImageCache
@@ -38,8 +39,8 @@ def run_loaded(machine):
                        answer_names=machine.image.query_variable_names)
 
 
-def machine_over(image):
-    machine = Machine(symbols=image.symbols)
+def machine_over(image, **options):
+    machine = Machine(symbols=image.symbols, **options)
     image.install(machine)
     machine.image = image
     return machine
@@ -298,3 +299,122 @@ class TestCompileOncePerImage:
             == machine._predecoded.fused_count
         assert SuperopFuser.compiles_performed \
             == compiles + len(restored_image._superop_code)
+
+
+class TestBindFromImageMemo:
+    """The image's memo is keyed by block address, machine
+    configuration and the block's instructions, so every machine binds
+    its own objects into code generated once per image and
+    configuration, and a patched or differently configured machine
+    never runs another's code."""
+
+    @staticmethod
+    def observe(machine):
+        stats = run_loaded(machine)
+        return (TestCompileOncePerImage.answers(machine),
+                dataclasses.asdict(stats))
+
+    def test_later_machine_generates_and_compiles_nothing(
+            self, monkeypatch):
+        bench = SUITE["nrev1"]
+        image = ImageCache().get(bench.source_pure, bench.query_pure)
+        first = machine_over(image)
+        reference = self.observe(first)
+        generated = []
+        generate = SuperopFuser._generate
+
+        def counting(fuser, address, steps):
+            generated.append(address)
+            return generate(fuser, address, steps)
+        monkeypatch.setattr(SuperopFuser, "_generate", counting)
+        compiles = SuperopFuser.compiles_performed
+        later = machine_over(image)
+        assert self.observe(later) == reference
+        assert generated == []
+        assert SuperopFuser.compiles_performed == compiles
+        closures = [entry[4] for entry in later._predecoded.entries
+                    if entry is not None and entry[0] == ()]
+        assert len(closures) == first._predecoded.fused_count > 0
+        # Each closure reaches machine objects only through its
+        # defaults, and those are the later machine's own.
+        owned = {id(later), id(later.regs.cells), id(later.memory)}
+        foreign = {id(first), id(first.regs.cells), id(first.memory)}
+        for closure in closures:
+            assert set(closure.__globals__) == {"__builtins__"}
+            defaults = {id(value) for value in closure.__defaults__}
+            assert owned & defaults and not foreign & defaults
+
+    CONFIGS = {
+        "no_shallow_no_mwac": dict(features=Features(
+            shallow_backtracking=False, mwac=False)),
+        "no_zone_check_plain_cache": dict(features=Features(
+            zone_check=False, sectioned_cache=False)),
+        "dispatch_overhead": dict(costs=CostModel(dispatch_overhead=2)),
+    }
+
+    @pytest.mark.parametrize("first, second", [
+        pair for config in CONFIGS
+        for pair in ((None, config), (config, None))])
+    def test_configurations_share_the_memo_not_the_code(self, first,
+                                                        second):
+        bench = SUITE["queens"]
+        image = ImageCache().get(bench.source_pure, bench.query_pure)
+        sizes = []
+        for config in (first, second):
+            options = self.CONFIGS.get(config, {})
+            machine = machine_over(image, **options)
+            assert machine._superop_code is image._superop_code
+            fused = self.observe(machine)
+            sizes.append(len(image._superop_code))
+            seed = machine_over(image, fast_path=False, **options)
+            assert fused == self.observe(seed)
+        # The second configuration compiled its own blocks.
+        assert 0 < sizes[0] < sizes[1]
+
+    def test_patched_machine_runs_its_own_code(self):
+        image = ImageCache().get("a(1). b(2). p(X) :- a(X).", "p(X)")
+
+        def answer(machine):
+            run_loaded(machine)
+            return term_to_text(machine.solutions[0]["X"])
+        plain = machine_over(image)
+        assert answer(plain) == "1"
+        patched = machine_over(image)
+        address, old = next(
+            (a, i) for a, i in enumerate(patched.code)
+            if i is not None and i.op is Op.EXECUTE
+            and i.a == image.predicates[("a", 1)])
+        # EXECUTE has plain-int operands, so its key is its content.
+        patched.patch_code(address, Instruction(
+            Op.EXECUTE, image.predicates[("b", 1)], old.b, old.c,
+            infer=old.infer))
+        assert answer(patched) == "2"
+        # GET_CONSTANT carries a Word, so its key is the object.
+        address, old = next(
+            (a, i) for a, i in enumerate(patched.code)
+            if i is not None and i.op is Op.GET_CONSTANT
+            and i.a == make_int(2))
+        patched.patch_code(address, Instruction(
+            Op.GET_CONSTANT, make_int(3), old.b, infer=old.infer))
+        patched.reset_for_reuse()
+        assert answer(patched) == "3"
+        plain.reset_for_reuse()
+        assert answer(plain) == "1"
+        assert answer(machine_over(image)) == "1"
+
+    def test_signed_zeros_are_different_constants(self):
+        # Word.__eq__ equates 0.0 and -0.0, so a key holding Words by
+        # value would hand the patched machine the other zero.
+        image = ImageCache().get("p(X) :- r(0.0, X). r(Y, Y).", "p(X)")
+        answers = []
+        for sign in (1.0, -1.0, 1.0):
+            machine = machine_over(image)
+            address, old = next(
+                (a, i) for a, i in enumerate(machine.code)
+                if i is not None and i.op is Op.PUT_CONSTANT)
+            machine.patch_code(address, Instruction(
+                Op.PUT_CONSTANT, make_float(sign * 0.0), old.b,
+                infer=old.infer))
+            run_loaded(machine)
+            answers.append(term_to_text(machine.solutions[0]["X"]))
+        assert answers == ["0.0", "-0.0", "0.0"]
