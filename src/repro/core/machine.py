@@ -49,11 +49,14 @@ from repro.core.opcodes import ArithOp, Op, TestOp
 from repro.core.registers import RegisterFile, ShadowState
 from repro.core.statistics import RunStats
 from repro.core.symbols import SymbolTable
-from repro.core.tags import Type, Zone, tag_zone
+from repro.core.tags import (
+    ADDRESS_MASK, TAG_TYPE_SHIFT, Type, Zone, tag_zone,
+)
 from repro.core.trail import Trail
 from repro.core.word import (
-    Word, make_code_ptr, make_data_ptr, make_float, make_functor, make_int,
-    make_list, make_struct, make_unbound, to_single_precision, wrap_int32,
+    ZERO_WORD, Word, make_code_ptr, make_data_ptr, make_float, make_functor,
+    make_int, make_list, make_struct, make_unbound, to_single_precision,
+    wrap_int32,
 )
 from repro.core.predecode import PredecodedCode, predecode
 from repro.core.superops import SuperopFuser
@@ -92,6 +95,11 @@ CP_ARGS = 9
 ENV_CE = 0
 ENV_CP = 1
 ENV_Y0 = 2
+
+#: The methods a fast-path run shadows with the closures of
+#: Machine._fused_paths, in the order it returns them.
+_FUSED = ("_read", "_write", "deref", "bind", "unify", "fail",
+          "_create_choice_point", "_refresh_barriers", "_pop_choice_point")
 
 
 class Machine:
@@ -277,19 +285,19 @@ class Machine:
     def __getstate__(self) -> dict:
         """Drop the unpicklable/derived host-side state.
 
-        The fused memory closures (installed as instance attributes
-        ``_read``/``_write``/``deref`` for the duration of one run),
-        the dispatch table of bound methods and lambdas, the
-        predecoded block table and the image's superop memo (code
-        objects cannot be pickled) are all excluded; every one is
+        The fused closures (the instance attributes named in
+        ``_FUSED``, installed for the duration of one run), the
+        dispatch table of bound methods and lambdas, the predecoded
+        block table and the image's superop memo (code objects cannot
+        be pickled) are all excluded; every one is
         rebuilt deterministically — the dispatch table eagerly on
         unpickle, the closures on the next run, the predecode table
         lazily by :meth:`_ensure_predecoded` and its superops afresh,
         generated and compiled, as blocks are entered.
         """
         state = self.__dict__.copy()
-        for derived in ("_read", "_write", "deref"):
-            state.pop(derived, None)
+        for name in _FUSED:
+            state.pop(name, None)
         state["_dispatch"] = None
         state["_predecoded"] = None
         state["_superop_code"] = None
@@ -303,9 +311,10 @@ class Machine:
     # memory access helpers (all cycle-accounted)
     # ------------------------------------------------------------------
 
-    # NOTE: under fast_path, _execute shadows _read/_write for the
-    # duration of one run with the memory system's fused single-frame
-    # closures (MemorySystem.fused_data_path); same observables.
+    # NOTE: under fast_path, _execute shadows the methods named in
+    # _FUSED (these accessors, deref, bind, unify, fail and the
+    # choice-point methods) for the duration of one run with the
+    # single-frame closures of _fused_paths; same observables.
 
     def _read(self, address: int, zone: Zone,
               word_type: Type = Type.DATA_PTR) -> Word:
@@ -453,42 +462,301 @@ class Machine:
                     return False
         return True
 
-    def _fused_control_path(self):
-        """Single-frame replacements for the hot control-path methods
-        (``bind``, ``unify``, ``fail``, choice-point create/pop/
-        refresh) used during fast-path runs, mirroring
-        :meth:`MemorySystem.fused_data_path`.
+    def _fused_paths(self) -> tuple:
+        """Single-frame replacements for the nine methods named in
+        ``_FUSED``, returned in that order: the data accessors
+        ``_read``/``_write``/``deref`` and the control path (``bind``,
+        ``unify``, ``fail``, choice-point create/refresh/pop).
 
-        Both replicate the class methods above statement for statement
-        — same counters, same cycle charges, same raise points — with
-        the per-call attribute traffic (costs, stats, trail, symbol
-        table) hoisted into the closure, and the trail check/push of
-        :meth:`bind` inlined.  Built by :meth:`_execute` after the
-        fused data accessors are installed so they capture those;
-        uninstalled with them, so the ablation and inter-run accesses
-        always take the class methods.
+        The layered data path costs around eight Python frames per
+        access (machine wrapper, zone check, containment, store, miss
+        accounting, cache, index split), which dominates host time in a
+        cycle-accurate interpreter.  ``read``/``write`` fold the *happy*
+        path — zone check passes, cache hits — into one frame, including
+        the cycle/statistics accounting of the class methods above, and
+        fall back to :meth:`ZoneChecker.check`, :meth:`DataStore.write`
+        and the cache's miss path for every edge, so traps, messages and
+        every counter (zone ``checks``/``violations``, cache statistics,
+        ``uninitialised_reads``, MMU faults, ``RunStats`` data accesses)
+        are bit-identical.  The control closures replicate the class
+        methods statement for statement — same counters, same cycle
+        charges, same raise points — with the per-call attribute traffic
+        hoisted into the closure and the trail check inlined.
+
+        The zone-check and cache-probe hit rule (paper §3.2.3–3.2.4) is
+        written here twice: generically in ``read``/``write``, the zone
+        an argument, and once per constant zone in ``specialise``, whose
+        accessors carry every CONTROL, TRAIL, GLOBAL and LOCAL access of
+        the control closures.  The superop emitters write it a third
+        time (``_Chunk.read_zone``/``write_zone`` in
+        :mod:`repro.core.superops`) with the constants baked into block
+        source.  Closures and templates stay two forms of one rule:
+        the closures capture the run's ``RunStats`` and are built per
+        run, so generating them from the templates would need a compile
+        memo keyed by machine configuration.
+
+        :meth:`_execute` installs them as instance attributes for one
+        fast-path run and pops them in its ``finally``, so the ablation
+        (``fast_path=False``) and accesses between runs take the class
+        methods.  Everything captured but the ``RunStats`` (zone
+        entries, the store's ``words`` dict, cache tag/dirty lists,
+        counter objects) is mutated in place and never rebound.  A
+        hit-path write stores straight into ``words`` only below the
+        store's ``size``; a zone moved past the data space
+        (:meth:`ZoneChecker.set_limits` allows it) sends the write to
+        :meth:`DataStore.write`, which raises ``IndexError``.  The
+        property tests in ``tests/test_props_fastpath.py`` pin the
+        equivalence, including under injected faults.
         """
         machine = self
+        memory = self.memory
+        zones = memory.zones
+        zone_enabled = zones.enabled
+        # Zone enums are IntEnums 0..7 and the entries dict's key set is
+        # fixed at construction (values are mutated in place), so a
+        # 16-slot tuple turns the per-access dict hash into an index.
+        zone_entry = tuple(zones.entries.get(Zone(i)) if i < 8 else None
+                           for i in range(16))
+        zone_check = zones.check
+        store = memory.store
+        dwords = store.words
+        size = store.size
+        timing = memory.timing_enabled
+        cache = memory.data_cache
+        cstats = cache.stats
+        tags = cache.tags
+        dirty = cache.dirty
+        sectioned = cache.sectioned
+        main = cache.memory
+        translate = memory.mmu.translate
         stats = self.stats
-        trail = self.trail
-        costs = self.costs
-        read = self._read
-        write = self._write
-        deref = self.deref
-        serial_penalty = 0 if self.features.parallel_trail else \
-            max(costs.trail_check, self.features.serial_trail_cycles)
-        trail_push_cost = costs.trail_push
-        bind_extra = costs.bind - 1
-        unify_per_cell = costs.unify_per_cell
-        functor_key = self.symbols.functor_key
-        mdp = make_data_ptr
+        address_mask = ADDRESS_MASK
+        DATA_PTR = Type.DATA_PTR
+
+        def read(address, zone, word_type=DATA_PTR):
+            # Counter ordering mirrors the layered path exactly: the
+            # store/zone/cache counters move before a trap can escape,
+            # stats.data_reads and machine.cycles only after the access
+            # is known to complete (an MMU page-fault trap on the miss
+            # path must leave them untouched, as data_read would).
+            if zone_enabled:
+                entry = zone_entry[zone]
+                if (entry is not None and 0 <= address <= address_mask
+                        and word_type in entry.allowed_types
+                        and entry.low_bound <= address < entry.high_bound):
+                    entry.checks += 1
+                else:
+                    zone_check(zone, address, word_type, False)  # raises
+            word = dwords.get(address)
+            if word is None:
+                store.uninitialised_reads += 1
+                word = ZERO_WORD
+            if not timing:
+                stats.data_reads += 1
+                return word           # 1 cycle, folded into instr cost
+            cstats.reads += 1
+            if sectioned:
+                index = ((zone & 7) << 10) | (address & 1023)
+                tag = address >> 10
+            else:
+                index = address & 8191
+                tag = address >> 13
+            if tags[index] == tag:
+                cstats.read_hits += 1
+                stats.data_reads += 1
+                return word
+            cstats.misses += 1
+            penalty = 0
+            if tags[index] is not None and dirty[index]:
+                cstats.write_backs += 1
+                penalty += main.write_words(1)
+            penalty += main.read_words(1)
+            tags[index] = tag
+            dirty[index] = False
+            _, fault = translate(address, False)
+            machine.cycles += penalty + fault
+            stats.data_reads += 1
+            return word
+
+        def write(address, word, zone, word_type=DATA_PTR):
+            undo = machine._undo_log
+            if undo is not None:
+                # Before anything else, exactly like Machine._write: a
+                # trap mid-instruction must be able to undo writes that
+                # succeeded functionally before the fault.
+                undo.append((address, dwords.get(address)))
+            if zone_enabled:
+                entry = zone_entry[zone]
+                if (entry is not None and 0 <= address < size
+                        and word_type in entry.allowed_types
+                        and not entry.write_protected
+                        and entry.low_bound <= address < entry.high_bound):
+                    entry.checks += 1
+                    dwords[address] = word
+                else:
+                    # Raises on a violation; an address its zone admits
+                    # past the store's end raises in store.write.
+                    zone_check(zone, address, word_type, True)
+                    store.write(address, word)
+            else:
+                store.write(address, word)
+            if not timing:
+                stats.data_writes += 1
+                return
+            cstats.writes += 1
+            if sectioned:
+                index = ((zone & 7) << 10) | (address & 1023)
+                tag = address >> 10
+            else:
+                index = address & 8191
+                tag = address >> 13
+            if tags[index] == tag:
+                cstats.write_hits += 1
+                dirty[index] = True
+                stats.data_writes += 1
+                return
+            cstats.misses += 1
+            penalty = 0
+            if tags[index] is not None and dirty[index]:
+                cstats.write_backs += 1
+                penalty += main.write_words(1)
+            penalty += main.read_words(1)
+            tags[index] = tag
+            dirty[index] = True
+            _, fault = translate(address, True)
+            machine.cycles += penalty + fault
+            stats.data_writes += 1
+
+        # Reference-chain walking is the single hottest compound
+        # operation (one read per link), so deref inlines the *hit*
+        # read per hop.  The inline path commits no counter until every
+        # condition has passed; any edge (zone violation, cache miss,
+        # uninitialised cell, timing off, zone checking off) leaves all
+        # state untouched and re-runs the hop through ``read``, which
+        # owns those cases.
+        type_shift = TAG_TYPE_SHIFT
+        REF = Type.REF
+        ref_index = int(REF)
+        deref_cost = self.costs.deref_per_link
+
+        def deref(word):
+            while True:
+                wtag = word.tag
+                if (wtag >> type_shift) & 15 != ref_index:
+                    return word
+                address = word.value
+                zone = word.zone
+                if zone is None:
+                    zone = tag_zone(wtag)   # raises, as the seed would
+                cell = None
+                if zone_enabled and timing:
+                    entry = zone_entry[zone]
+                    if (entry is not None and 0 <= address <= address_mask
+                            and REF in entry.allowed_types
+                            and entry.low_bound <= address
+                            < entry.high_bound):
+                        cell = dwords.get(address)
+                if cell is not None:
+                    if sectioned:
+                        index = ((zone & 7) << 10) | (address & 1023)
+                        line = address >> 10
+                    else:
+                        index = address & 8191
+                        line = address >> 13
+                    if tags[index] == line:
+                        entry.checks += 1
+                        cstats.reads += 1
+                        cstats.read_hits += 1
+                        stats.data_reads += 1
+                    else:
+                        cell = None         # miss: layered hop below
+                if cell is None:
+                    cell = read(address, zone, REF)
+                machine.cycles += deref_cost
+                stats.dereference_links += 1
+                if (cell.tag >> type_shift) & 15 == ref_index \
+                        and cell.value == address:
+                    return cell             # unbound variable
+                word = cell
+
+        def specialise(zone):
+            """Constant-zone ``(read, write)`` accessors, the hit rule
+            of ``read``/``write`` with the zone fixed: every counter
+            commits only after all conditions passed, and any edge —
+            timing or zone checking off, armed undo log, write
+            protection, uninitialised cell, zone bounds, a write at or
+            past the store's end, cache miss — falls back to the generic
+            accessor, which owns those cases.  ``allowed_types`` is
+            never reassigned after construction, so the membership test
+            is baked; limits and protection are read per access (growth
+            handlers move them mid-run)."""
+            entry = zone_entry[zone]
+            ok = (entry is not None and DATA_PTR in entry.allowed_types
+                  and timing and zone_enabled)
+            base = (int(zone) & 7) << 10
+
+            def rd(a):
+                if ok:
+                    if sectioned:
+                        j = base | (a & 1023)
+                        t = a >> 10
+                    else:
+                        j = a & 8191
+                        t = a >> 13
+                    if tags[j] == t:
+                        # A written cell lies inside the data space, so
+                        # a hit needs no address-range test.
+                        w = dwords.get(a)
+                        if (w is not None
+                                and entry.low_bound <= a
+                                < entry.high_bound):
+                            entry.checks += 1
+                            cstats.reads += 1
+                            cstats.read_hits += 1
+                            stats.data_reads += 1
+                            return w
+                return read(a, zone)
+
+            def wr(a, w):
+                if (ok and machine._undo_log is None
+                        and not entry.write_protected):
+                    if sectioned:
+                        j = base | (a & 1023)
+                        t = a >> 10
+                    else:
+                        j = a & 8191
+                        t = a >> 13
+                    if (tags[j] == t
+                            and entry.low_bound <= a < entry.high_bound
+                            and 0 <= a < size):
+                        entry.checks += 1
+                        dwords[a] = w
+                        cstats.writes += 1
+                        cstats.write_hits += 1
+                        dirty[j] = True
+                        stats.data_writes += 1
+                        return
+                write(a, w, zone)
+
+            return rd, wr
+
         GLOBAL = Zone.GLOBAL
         LOCAL = Zone.LOCAL
+        CONTROL = Zone.CONTROL
         TRAIL = Zone.TRAIL
-        REF = Type.REF
-        LIST = Type.LIST
-        STRUCT = Type.STRUCT
-        FLOAT = Type.FLOAT
+        rd_control, wr_control = specialise(CONTROL)
+        rd_trail, wr_trail = specialise(TRAIL)
+        wr_global = specialise(GLOBAL)[1]
+        wr_local = specialise(LOCAL)[1]
+
+        trail = self.trail
+        costs = self.costs
+        features = self.features
+        serial_penalty = 0 if features.parallel_trail else \
+            max(costs.trail_check, features.serial_trail_cycles)
+        trail_push_cost = costs.trail_push
+        bind_extra = costs.bind - 1
+        mdp = make_data_ptr
 
         def bind(address, zone, value):
             stats.trail_checks += 1
@@ -498,31 +766,7 @@ class Machine:
             if (address < machine.hb if zone is GLOBAL
                     else address < machine.lb if zone is LOCAL else True):
                 top = trail.top
-                w = mdp(address, zone)
-                # wr_trail's hit path expanded in place: one push per
-                # trailed binding makes this the densest write site on
-                # the fast path, worth saving the call frame.
-                hit = False
-                if (te_ok and machine._undo_log is None
-                        and not te.write_protected):
-                    if sectioned:
-                        j = te_base | (top & 1023)
-                        t = top >> 10
-                    else:
-                        j = top & 8191
-                        t = top >> 13
-                    if (dtags[j] == t
-                            and te.low_bound <= top < te.high_bound
-                            and 0 <= top < size):
-                        te.checks += 1
-                        dwords[top] = w
-                        ds.writes += 1
-                        ds.write_hits += 1
-                        ddirty[j] = True
-                        stats.data_writes += 1
-                        hit = True
-                if not hit:
-                    write(top, w, TRAIL)
+                wr_trail(top, mdp(address, zone))
                 trail.top = top + 1
                 trail.pushes += 1
                 machine.cycles += trail_push_cost
@@ -534,6 +778,12 @@ class Machine:
             else:
                 write(address, value, zone)
             machine.cycles += bind_extra
+
+        unify_per_cell = costs.unify_per_cell
+        functor_key = self.symbols.functor_key
+        LIST = Type.LIST
+        STRUCT = Type.STRUCT
+        FLOAT = Type.FLOAT
 
         def unify(left, right):
             stats.general_unifications += 1
@@ -584,103 +834,6 @@ class Machine:
                         return False
             return True
 
-        shadow = self.shadow
-        set_x = self.regs.set_x
-        reg_x = self.regs.x
-        memory = self.memory
-        dwords = memory.store.words
-        size = memory.store.size
-        dcache = memory.data_cache
-        dtags = dcache.tags
-        ddirty = dcache.dirty
-        ds = dcache.stats
-        sectioned = dcache.sectioned
-        timing = memory.timing_enabled
-        zone_checking = memory.zones.enabled
-        DPT = Type.DATA_PTR
-
-        def specialise(zone):
-            """Constant-zone read/write with the cache/zone hit path
-            inlined, the same shape the superinstruction emitter
-            (repro.core.superops) generates for build-time-constant
-            zones: every counter commits only after all conditions
-            passed, and any edge — timing or zone checking off, armed
-            undo log, write protection, uninitialised cell, zone bounds,
-            a write at or past the store's end, cache miss — falls back
-            to the generic fused accessor, which owns those cases.
-            ``allowed_types`` is never reassigned after construction,
-            so the membership test is baked; limits and protection are
-            read per access (growth handlers move them mid-run)."""
-            entry = memory.zones.entries.get(zone)
-            ok = (entry is not None and DPT in entry.allowed_types
-                  and timing and zone_checking)
-            base = (int(zone) & 7) << 10
-
-            def rd(a):
-                if ok:
-                    if sectioned:
-                        j = base | (a & 1023)
-                        t = a >> 10
-                    else:
-                        j = a & 8191
-                        t = a >> 13
-                    if dtags[j] == t:
-                        # A written cell lies inside the data space, so
-                        # a hit needs no address-range test.
-                        w = dwords.get(a)
-                        if (w is not None
-                                and entry.low_bound <= a
-                                < entry.high_bound):
-                            entry.checks += 1
-                            ds.reads += 1
-                            ds.read_hits += 1
-                            stats.data_reads += 1
-                            return w
-                return read(a, zone)
-
-            def wr(a, w):
-                if (ok and machine._undo_log is None
-                        and not entry.write_protected):
-                    if sectioned:
-                        j = base | (a & 1023)
-                        t = a >> 10
-                    else:
-                        j = a & 8191
-                        t = a >> 13
-                    if (dtags[j] == t
-                            and entry.low_bound <= a < entry.high_bound
-                            and 0 <= a < size):
-                        entry.checks += 1
-                        dwords[a] = w
-                        ds.writes += 1
-                        ds.write_hits += 1
-                        ddirty[j] = True
-                        stats.data_writes += 1
-                        return
-                write(a, w, zone)
-
-            return rd, wr, entry, ok
-        shallow_enabled = self.features.shallow_backtracking
-        fail_shallow = costs.fail_shallow
-        unwind_cost = costs.trail_unwind_per_entry
-        cp_restore_base = costs.cp_restore_base
-        cp_restore_per_reg = costs.cp_restore_per_reg
-        fail_deep_branch = costs.fail_deep_branch
-        cp_create_base = costs.cp_create_base
-        cp_save_per_reg = costs.cp_save_per_reg
-        global_base = self._stack_base[GLOBAL]
-        local_base = self._stack_base[LOCAL]
-        control_base = self._stack_base[Zone.CONTROL]
-        CONTROL = Zone.CONTROL
-        mcp = make_code_ptr
-        mki = make_int
-        rd_control, wr_control, ce, ce_ok = specialise(CONTROL)
-        ce_base = (int(CONTROL) & 7) << 10
-        rd_trail, wr_trail, te, te_ok = specialise(TRAIL)
-        wr_global = specialise(GLOBAL)[1]
-        wr_local = specialise(LOCAL)[1]
-        te_base = (int(TRAIL) & 7) << 10
-
         mku = make_unbound
 
         def unwind(mark):
@@ -702,6 +855,15 @@ class Machine:
                     write(address, mku(address, z), z)
                 undone += 1
             return undone
+
+        shadow = self.shadow
+        set_x = self.regs.set_x
+        shallow_enabled = features.shallow_backtracking
+        fail_shallow = costs.fail_shallow
+        unwind_cost = costs.trail_unwind_per_entry
+        cp_restore_base = costs.cp_restore_base
+        cp_restore_per_reg = costs.cp_restore_per_reg
+        fail_deep_branch = costs.fail_deep_branch
 
         def fail():
             tracer = machine.tracer
@@ -752,19 +914,20 @@ class Machine:
                                + fail_deep_branch
                                + undone * unwind_cost)
 
+        reg_x = self.regs.x
+        cp_create_base = costs.cp_create_base
+        cp_save_per_reg = costs.cp_save_per_reg
+        global_base = self._stack_base[GLOBAL]
+        local_base = self._stack_base[LOCAL]
+        control_base = self._stack_base[CONTROL]
+        mcp = make_code_ptr
+        mki = make_int
+
         def create_choice_point(alt, arity, h, tr, lb):
             b = machine.b
             base = (b + CP_ARGS
                     + int(rd_control(b + CP_ARITY).value)) if b \
                 else control_base
-            # The frame's 9 + arity words go to consecutive ascending
-            # addresses, so wr_control's hit path is expanded once as a
-            # loop (per-word fallback keeps access order and counters
-            # exact).  The undo-log and protection guards hoist out of
-            # the loop: no handler can run between the
-            # writes of one instruction without recovery, and a run with
-            # recovery always has the undo log armed, which routes every
-            # word through the generic accessor.
             words = [mki(arity), mdp(b, CONTROL), mcp(machine.cp),
                      mdp(machine.e, LOCAL), mdp(h, GLOBAL),
                      mdp(tr, TRAIL), mdp(machine.b0, CONTROL),
@@ -772,31 +935,9 @@ class Machine:
             for i in range(arity):
                 words.append(reg_x(i))
             a = base
-            if (ce_ok and machine._undo_log is None
-                    and not ce.write_protected):
-                for w in words:
-                    if sectioned:
-                        j = ce_base | (a & 1023)
-                        t = a >> 10
-                    else:
-                        j = a & 8191
-                        t = a >> 13
-                    if (dtags[j] == t
-                            and ce.low_bound <= a < ce.high_bound
-                            and 0 <= a < size):
-                        ce.checks += 1
-                        dwords[a] = w
-                        ds.writes += 1
-                        ds.write_hits += 1
-                        ddirty[j] = True
-                        stats.data_writes += 1
-                    else:
-                        write(a, w, CONTROL)
-                    a += 1
-            else:
-                for w in words:
-                    write(a, w, CONTROL)
-                    a += 1
+            for w in words:
+                wr_control(a, w)
+                a += 1
             machine.b = base
             machine.hb = h
             machine.lb = lb
@@ -816,7 +957,7 @@ class Machine:
             machine.b = int(rd_control(machine.b + CP_PREV_B).value)
             refresh_barriers()
 
-        return (bind, unify, fail, create_choice_point,
+        return (read, write, deref, bind, unify, fail, create_choice_point,
                 refresh_barriers, pop_choice_point)
 
     # ------------------------------------------------------------------
@@ -1072,20 +1213,15 @@ class Machine:
         # the '$answer' escape re-raises it at the next solution.
         self.solution_paused = False
         # Under fast_path, traced and recovering runs included, shadow
-        # _read/_write and the hot control-path methods with fused
-        # single-frame closures for the duration of this run — same
-        # observables (docs/PERF.md), so the ablation keeps the seed
-        # layered path.  Installed here rather than in __init__
-        # because the closures capture this run's RunStats; the finally
-        # below uninstalls them so accesses between runs (bootstrap
-        # frame setup, tests poking _read directly) take the layered
-        # class methods again.
+        # the methods named in _FUSED with single-frame closures for the
+        # duration of this run — same observables (docs/PERF.md), so
+        # the ablation keeps the seed layered path.  Installed here
+        # rather than in __init__ because the closures capture this
+        # run's RunStats; the finally below uninstalls them so accesses
+        # between runs (bootstrap frame setup, tests poking _read
+        # directly) take the layered class methods again.
         if self.fast_path:
-            self._read, self._write, self.deref = \
-                self.memory.fused_data_path(self)
-            (self.bind, self.unify, self.fail,
-             self._create_choice_point, self._refresh_barriers,
-             self._pop_choice_point) = self._fused_control_path()
+            self.__dict__.update(zip(_FUSED, self._fused_paths()))
         try:
             self._loop()
         except MachineError as err:
@@ -1108,15 +1244,8 @@ class Machine:
         finally:
             self.running = False
             self._undo_log = None
-            self.__dict__.pop("_read", None)
-            self.__dict__.pop("_write", None)
-            self.__dict__.pop("deref", None)
-            self.__dict__.pop("bind", None)
-            self.__dict__.pop("unify", None)
-            self.__dict__.pop("fail", None)
-            self.__dict__.pop("_create_choice_point", None)
-            self.__dict__.pop("_refresh_barriers", None)
-            self.__dict__.pop("_pop_choice_point", None)
+            for name in _FUSED:
+                self.__dict__.pop(name, None)
             stats.cycles = self.cycles
             stats.solutions = len(self.solutions)
             stats.trail_pushes = self.trail.pushes

@@ -329,14 +329,10 @@ class SuperopFuser:
             Op.CALL: self._e_call,
             Op.EXECUTE: self._e_execute,
             Op.PROCEED: self._e_proceed,
-            Op.JUMP: self._e_jump,
-            Op.HALT: self._e_halt,
-            Op.FAIL: self._e_fail,
             Op.SWITCH_ON_TERM: self._e_switch_on_term,
             Op.SWITCH_ON_CONSTANT: self._e_switch_on_constant,
             Op.SWITCH_ON_STRUCTURE: self._e_switch_on_structure,
             Op.TRY: self._e_try,
-            Op.RETRY: self._e_retry,
             Op.TRUST: self._e_trust,
             Op.TRY_ME_ELSE: self._e_try_me_else,
             Op.RETRY_ME_ELSE: self._e_retry_me_else,
@@ -348,35 +344,28 @@ class SuperopFuser:
             Op.NECK: self._e_neck,
             Op.NECK_CUT: self._e_neck_cut,
             Op.CUT: self._e_cut,
-            Op.GET_LEVEL: self._e_get_level,
             Op.ALLOCATE: self._e_allocate,
             Op.DEALLOCATE: self._e_deallocate,
             Op.MOVE2: self._e_move2,
             Op.GET_X_VARIABLE: self._e_get_x_variable,
             Op.GET_Y_VARIABLE: self._e_get_y_variable,
             Op.GET_X_VALUE: self._e_get_x_value,
-            Op.GET_Y_VALUE: self._e_get_y_value,
             Op.GET_CONSTANT: self._e_get_constant,
             Op.GET_NIL: self._e_get_nil,
             Op.GET_LIST: self._e_get_list,
             Op.GET_STRUCTURE: self._e_get_structure,
-            Op.PUT_X_VARIABLE: self._e_put_x_variable,
             Op.PUT_Y_VARIABLE: self._e_put_y_variable,
             Op.PUT_X_VALUE: self._e_put_x_value,
             Op.PUT_Y_VALUE: self._e_put_y_value,
             Op.PUT_CONSTANT: self._e_put_constant,
-            Op.PUT_NIL: self._e_put_nil,
             Op.PUT_LIST: self._e_put_list,
             Op.PUT_STRUCTURE: self._e_put_structure,
             Op.UNIFY_X_VARIABLE: self._e_unify_x_variable,
-            Op.UNIFY_Y_VARIABLE: self._e_unify_y_variable,
             Op.UNIFY_X_VALUE: self._e_unify_x_value,
-            Op.UNIFY_Y_VALUE: self._e_unify_y_value,
             Op.UNIFY_X_LOCAL_VALUE: self._e_unify_x_local_value,
             Op.UNIFY_Y_LOCAL_VALUE: self._e_unify_y_local_value,
             Op.UNIFY_CONSTANT: self._e_unify_constant,
             Op.UNIFY_NIL: self._e_unify_nil,
-            Op.UNIFY_VOID: self._e_unify_void,
         }
 
     def _data_index(self, zone: Zone, var: str) -> Tuple[str, int]:
@@ -550,16 +539,6 @@ class SuperopFuser:
     def _e_proceed(self, c: "_Chunk") -> None:
         c.put("m.p = m.cp")
 
-    def _e_jump(self, c: "_Chunk") -> None:
-        c.put(f"m.p = {_intop(c.instr.a)}")
-
-    def _e_halt(self, c: "_Chunk") -> None:
-        c.put("m.running = False")
-        c.put("m.halted = True")
-
-    def _e_fail(self, c: "_Chunk") -> None:
-        c.put("m.fail()")
-
     # -- clause indexing (always block-terminal) -----------------------
 
     def _switch_targets(self, c: "_Chunk", pairs) -> None:
@@ -659,8 +638,9 @@ class SuperopFuser:
     def _e_try_me_else(self, c: "_Chunk") -> None:
         self._enter_alternatives(c, _intop(c.instr.a), c.instr.b)
 
-    def _retry_body(self, c: "_Chunk", alt: int) -> None:
+    def _e_retry_me_else(self, c: "_Chunk") -> None:
         from repro.core.word import make_code_ptr
+        alt = _intop(c.instr.a)
         slot_alt, slot_h, slot_tr = self._shadow_slots
         alt_word = c.gen.const(make_code_ptr(alt), "W")
         c.use("write", "CONTROL")
@@ -677,18 +657,7 @@ class SuperopFuser:
         c.put(f"    cells[{slot_alt}] = {alt_word}")
         c.put(f"    cells[{slot_h}] = MKD(s_.h, GLOBAL)")
         c.put(f"    cells[{slot_tr}] = MKD(s_.tr, TRAIL)")
-
-    def _e_retry(self, c: "_Chunk") -> None:
-        target = _intop(c.instr.a)
-        self._retry_body(c, c.fall_through)
-        if self._shallow:
-            c.put("m.shallow_flag = True")
-        c.put(f"m.p = {target}")
-
-    def _e_retry_me_else(self, c: "_Chunk") -> None:
-        self._retry_body(c, _intop(c.instr.a))
-        if self._shallow:
-            c.put("m.shallow_flag = True")
+        c.put("m.shallow_flag = True")
 
     def _trust_body(self, c: "_Chunk") -> None:
         if not self._shallow:
@@ -743,12 +712,6 @@ class SuperopFuser:
         c.put("if m.b != m.b0:")
         c.put("    m.b = m.b0")
         c.put("    m._refresh_barriers()")
-
-    def _e_get_level(self, c: "_Chunk") -> None:
-        slot = self._env_y0 + _intop(c.instr.a)
-        c.use("CONTROL")
-        c.gen.use("MKD")
-        c.write_zone(f"m.e + {slot}", "MKD(m.b0, CONTROL)", "LOCAL")
 
     def _e_allocate(self, c: "_Chunk") -> None:
         c.gen.use("MKD")
@@ -903,15 +866,6 @@ class SuperopFuser:
         c.put("    m.fail()")
         c.settle(1)
 
-    def _e_get_y_value(self, c: "_Chunk") -> None:
-        slot = self._env_y0 + _intop(c.instr.a)
-        c.penalty()
-        c.use("unify")
-        c.read_zone("y_", f"m.e + {slot}", "LOCAL")
-        c.put(f"if not unify(y_, cells[{_reg(c.instr.b)}]):")
-        c.put("    m.fail()")
-        c.settle(1)
-
     def _e_get_constant(self, c: "_Chunk") -> None:
         const = _wordop(c.instr.a)
         reg = _reg(c.instr.b)
@@ -991,12 +945,6 @@ class SuperopFuser:
 
     # -- put instructions (argument loading) ---------------------------
 
-    def _e_put_x_variable(self, c: "_Chunk") -> None:
-        reg_a, reg_b = _reg(c.instr.a), _reg(c.instr.b)
-        c.new_heap_var("v_")
-        c.put(f"cells[{reg_a}] = v_")
-        c.put(f"cells[{reg_b}] = v_")
-
     def _e_put_y_variable(self, c: "_Chunk") -> None:
         slot = self._env_y0 + _intop(c.instr.a)
         reg = _reg(c.instr.b)
@@ -1036,10 +984,6 @@ class SuperopFuser:
         name = c.gen.const(const, "W")
         c.put(f"cells[{_reg(c.instr.b)}] = {name}")
 
-    def _e_put_nil(self, c: "_Chunk") -> None:
-        name = c.gen.const(self._nil_word, "W")
-        c.put(f"cells[{_reg(c.instr.a)}] = {name}")
-
     def _e_put_list(self, c: "_Chunk") -> None:
         c.gen.use("MKL")
         c.put(f"cells[{_reg(c.instr.a)}] = MKL(m.h)")
@@ -1071,16 +1015,6 @@ class SuperopFuser:
         c.put(f"    cells[{reg}] = v_")
         c.put("    m.s += 1")
 
-    def _e_unify_y_variable(self, c: "_Chunk") -> None:
-        slot = self._env_y0 + _intop(c.instr.a)
-        c.use("LOCAL", "GLOBAL")
-        c.put("if m.mode_write:")
-        c.new_heap_var("v_", indent=1)
-        c.put("else:")
-        c.read_zone("v_", "m.s", "GLOBAL", indent=1)
-        c.put("    m.s += 1")
-        c.write_zone(f"m.e + {slot}", "v_", "LOCAL")
-
     def _e_unify_x_value(self, c: "_Chunk") -> None:
         reg = _reg(c.instr.a)
         c.penalty()
@@ -1092,22 +1026,6 @@ class SuperopFuser:
         c.put("else:")
         c.read_zone("v_", "m.s", "GLOBAL", indent=1)
         c.put(f"    if not unify(cells[{reg}], v_):")
-        c.put("        m.fail()")
-        c.settle(2)
-        c.put("    m.s += 1")
-
-    def _e_unify_y_value(self, c: "_Chunk") -> None:
-        slot = self._env_y0 + _intop(c.instr.a)
-        c.penalty()
-        c.use("unify", "LOCAL", "GLOBAL")
-        c.read_zone("y_", f"m.e + {slot}", "LOCAL")
-        c.put("if m.mode_write:")
-        c.put("    a_ = m.h")
-        c.write_zone("a_", "y_", "GLOBAL", indent=1)
-        c.put("    m.h = a_ + 1")
-        c.put("else:")
-        c.read_zone("v_", "m.s", "GLOBAL", indent=1)
-        c.put("    if not unify(y_, v_):")
         c.put("        m.fail()")
         c.settle(2)
         c.put("    m.s += 1")
@@ -1193,19 +1111,6 @@ class SuperopFuser:
         c.put("        m.fail()")
         c.settle(2)
 
-    def _e_unify_void(self, c: "_Chunk") -> None:
-        count = _intop(c.instr.a)
-        if count:
-            c.use("write", "GLOBAL")
-            c.gen.use("UNB")
-            c.put("if m.mode_write:")
-            c.put(f"    for _ in range({count}):")
-            c.new_heap_var(None, indent=2)
-            c.put("else:")
-            c.put(f"    m.s += {count}")
-        if count > 1:
-            c.put(f"m.cycles += {count - 1}")
-
 
 class _Chunk:
     """Emission context for one instruction inside a fused block."""
@@ -1253,7 +1158,13 @@ class _Chunk:
         timing off, zone checking off, cache miss, uninitialised cell,
         zone bounds — falls back to the fused read closure, which owns
         those cases.  A written cell lies inside the data space, so the
-        hit needs no address-range test."""
+        hit needs no address-range test.
+
+        This and :meth:`write_zone` are the block-source form of the
+        hit rule whose closure form is the constant-zone accessors of
+        :meth:`Machine._fused_paths` (``specialise``): constants baked
+        as literals here, captured per run there.  Why both stay is in
+        that docstring."""
         fuser = self.fuser
         zone = getattr(Zone, zone_name)
         self.use("read", zone_name)
@@ -1327,17 +1238,14 @@ class _Chunk:
         if not self.fuser._mwac and self.fuser._switch_penalty:
             self.put(f"m.cycles += {self.fuser._switch_penalty}", indent)
 
-    def new_heap_var(self, target: Optional[str], indent: int = 0) -> None:
+    def new_heap_var(self, target: str, indent: int = 0) -> None:
         """Inline Machine.new_heap_var(); ``target`` receives the new
-        unbound Word (or None to discard it)."""
+        unbound Word."""
         self.use("GLOBAL")
         self.gen.use("UNB")
         self.put("a_ = m.h", indent)
-        if target is None:
-            self.write_zone("a_", "UNB(a_, GLOBAL)", "GLOBAL", indent)
-        else:
-            self.put(f"{target} = UNB(a_, GLOBAL)", indent)
-            self.write_zone("a_", target, "GLOBAL", indent)
+        self.put(f"{target} = UNB(a_, GLOBAL)", indent)
+        self.write_zone("a_", target, "GLOBAL", indent)
         self.put("m.h = a_ + 1", indent)
 
     def settle(self, indent: int) -> None:

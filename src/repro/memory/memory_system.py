@@ -15,17 +15,22 @@ Every method returns the cycle cost of the access: 1 base cycle (the
 machine adds these to its cycle counter.  A ``timing_enabled=False``
 mode skips the cache/MMU models entirely (functional simulation only),
 used by tests that don't care about cycles.
+
+This is the layered path only, the seed reference.  The fast path's
+single-frame data accessors, which fold the zone-check and cache-hit
+rule of both paths above into one Python frame and fall back here on
+every edge, are built with the machine's control-path closures in one
+scope, :meth:`repro.core.machine.Machine._fused_paths`; they hold
+references to this hierarchy's containers, which is why every method
+below mutates them in place and never rebinds them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
-from repro.core.tags import (
-    ADDRESS_MASK, TAG_TYPE_SHIFT, TAG_ZONE_SHIFT, Type, Zone,
-    ZONE_BY_INDEX, tag_zone,
-)
-from repro.core.word import Word, ZERO_WORD
+from repro.core.tags import Type, Zone
+from repro.core.word import Word
 from repro.memory.cache import CodeCache, DataCache
 from repro.memory.layout import DEFAULT_LAYOUT, Region
 from repro.memory.main_memory import MainMemory
@@ -94,214 +99,6 @@ class MemorySystem:
             _, fault = self.mmu.translate(address, is_write)
             penalty += fault
         return penalty
-
-    # -- the fused data path (predecoded execution layer) ----------------------
-
-    def fused_data_path(self, machine) \
-            -> "tuple[Callable, Callable, Callable]":
-        """Build single-frame replacements for the machine's data
-        accessors; returns ``(read, write, deref)`` closures.
-
-        The layered path above costs around eight Python frames per
-        access (machine wrapper, zone check, containment, store, miss
-        accounting, cache, index split), which dominates host time in a
-        cycle-accurate interpreter.  The closures fold the *happy* path
-        — zone check passes, cache hits — into one frame, including the
-        machine-side cycle/statistics accounting the seed keeps in
-        :meth:`Machine._read` / :meth:`Machine._write`, and fall back
-        to :meth:`ZoneChecker.check` for every violation so traps,
-        messages and every counter (zone ``checks``/``violations``,
-        cache hit/miss/write-back statistics, ``uninitialised_reads``,
-        MMU faults, ``RunStats`` data accesses) are bit-identical.
-
-        :meth:`Machine._execute` installs the pair for the duration of
-        one run when ``fast_path`` is on and removes it afterwards; the
-        ablation (``fast_path=False``) never sees them.  Built per run
-        because the closures capture the run's ``RunStats``; everything
-        else captured (zone table, the store's ``words`` dict, cache
-        tag/dirty lists, counters objects) is mutated in place and never
-        rebound.  A hit-path write stores straight into ``words`` only
-        below the store's ``size``; a zone moved past the data space
-        (:meth:`ZoneChecker.set_limits` allows it) sends the write to
-        :meth:`DataStore.write`, which raises ``IndexError``.  The
-        property tests in ``tests/test_props_fastpath.py`` pin the
-        equivalence, including under injected faults.
-        """
-        zones = self.zones
-        zone_enabled = zones.enabled
-        entries = zones.entries
-        # Zone enums are IntEnums 0..7 and the entries dict's key set is
-        # fixed at construction (values are mutated in place), so a
-        # 16-slot tuple turns the per-access dict hash into an index.
-        zone_entry = tuple(entries.get(Zone(i)) if i < 8 else None
-                           for i in range(16))
-        zone_check = zones.check
-        store = self.store
-        dwords = store.words
-        size = store.size
-        timing = self.timing_enabled
-        cache = self.data_cache
-        cstats = cache.stats
-        tags = cache.tags
-        dirty = cache.dirty
-        sectioned = cache.sectioned
-        main = cache.memory
-        translate = self.mmu.translate
-        stats = machine.stats
-        address_mask = ADDRESS_MASK
-        DATA_PTR = Type.DATA_PTR
-
-        def read(address, zone, word_type=DATA_PTR):
-            # Counter ordering mirrors the layered path exactly: the
-            # store/zone/cache counters move before a trap can escape,
-            # stats.data_reads and machine.cycles only after the access
-            # is known to complete (an MMU page-fault trap on the miss
-            # path must leave them untouched, as data_read would).
-            if zone_enabled:
-                entry = zone_entry[zone]
-                if (entry is not None and 0 <= address <= address_mask
-                        and word_type in entry.allowed_types
-                        and entry.low_bound <= address < entry.high_bound):
-                    entry.checks += 1
-                else:
-                    zone_check(zone, address, word_type, False)  # raises
-            word = dwords.get(address)
-            if word is None:
-                store.uninitialised_reads += 1
-                word = ZERO_WORD
-            if not timing:
-                stats.data_reads += 1
-                return word           # 1 cycle, folded into instr cost
-            cstats.reads += 1
-            if sectioned:
-                index = ((zone & 7) << 10) | (address & 1023)
-                tag = address >> 10
-            else:
-                index = address & 8191
-                tag = address >> 13
-            if tags[index] == tag:
-                cstats.read_hits += 1
-                stats.data_reads += 1
-                return word
-            cstats.misses += 1
-            penalty = 0
-            if tags[index] is not None and dirty[index]:
-                cstats.write_backs += 1
-                penalty += main.write_words(1)
-            penalty += main.read_words(1)
-            tags[index] = tag
-            dirty[index] = False
-            _, fault = translate(address, False)
-            machine.cycles += penalty + fault
-            stats.data_reads += 1
-            return word
-
-        def write(address, word, zone, word_type=DATA_PTR):
-            undo = machine._undo_log
-            if undo is not None:
-                # Before anything else, exactly like Machine._write: a
-                # trap mid-instruction must be able to undo writes that
-                # succeeded functionally before the fault.
-                undo.append((address, dwords.get(address)))
-            if zone_enabled:
-                entry = zone_entry[zone]
-                if (entry is not None and 0 <= address < size
-                        and word_type in entry.allowed_types
-                        and not entry.write_protected
-                        and entry.low_bound <= address < entry.high_bound):
-                    entry.checks += 1
-                    dwords[address] = word
-                else:
-                    # Raises on a violation; an address its zone admits
-                    # past the store's end raises in store.write.
-                    zone_check(zone, address, word_type, True)
-                    store.write(address, word)
-            else:
-                store.write(address, word)
-            if not timing:
-                stats.data_writes += 1
-                return
-            cstats.writes += 1
-            if sectioned:
-                index = ((zone & 7) << 10) | (address & 1023)
-                tag = address >> 10
-            else:
-                index = address & 8191
-                tag = address >> 13
-            if tags[index] == tag:
-                cstats.write_hits += 1
-                dirty[index] = True
-                stats.data_writes += 1
-                return
-            cstats.misses += 1
-            penalty = 0
-            if tags[index] is not None and dirty[index]:
-                cstats.write_backs += 1
-                penalty += main.write_words(1)
-            penalty += main.read_words(1)
-            tags[index] = tag
-            dirty[index] = True
-            _, fault = translate(address, True)
-            machine.cycles += penalty + fault
-            stats.data_writes += 1
-
-        # Reference-chain walking is the single hottest compound
-        # operation (one read per link), so it gets its own closure
-        # implementing Machine.deref semantics with the *hit* read
-        # inlined per hop.  The inline path commits no counter until
-        # every condition has passed; any edge (zone violation, cache
-        # miss, uninitialised cell, timing off, zone checking off)
-        # leaves all state untouched and re-runs the hop through
-        # ``read`` above, which owns those cases.
-        type_shift = TAG_TYPE_SHIFT
-        zone_shift = TAG_ZONE_SHIFT
-        zone_table = ZONE_BY_INDEX
-        REF_TYPE = Type.REF
-        ref_index = int(REF_TYPE)
-        deref_cost = machine.costs.deref_per_link
-
-        def deref(word):
-            while True:
-                wtag = word.tag
-                if (wtag >> type_shift) & 15 != ref_index:
-                    return word
-                address = word.value
-                zone = word.zone
-                if zone is None:
-                    zone = tag_zone(wtag)   # raises, as the seed would
-                cell = None
-                if zone_enabled and timing:
-                    entry = zone_entry[zone]
-                    if (entry is not None and 0 <= address <= address_mask
-                            and REF_TYPE in entry.allowed_types
-                            and entry.low_bound <= address
-                            < entry.high_bound):
-                        cell = dwords.get(address)
-                if cell is not None:
-                    if sectioned:
-                        index = ((zone & 7) << 10) | (address & 1023)
-                        line = address >> 10
-                    else:
-                        index = address & 8191
-                        line = address >> 13
-                    if tags[index] == line:
-                        entry.checks += 1
-                        cstats.reads += 1
-                        cstats.read_hits += 1
-                        stats.data_reads += 1
-                    else:
-                        cell = None         # miss: layered hop below
-                if cell is None:
-                    cell = read(address, zone, REF_TYPE)
-                machine.cycles += deref_cost
-                stats.dereference_links += 1
-                ctag = cell.tag
-                if (ctag >> type_shift) & 15 == ref_index \
-                        and cell.value == address:
-                    return cell             # unbound variable
-                word = cell
-
-        return read, write, deref
 
     # -- the code path ---------------------------------------------------------
 
@@ -406,8 +203,8 @@ class MemorySystem:
     def restore_timing_state(self, state: Dict[str, object]) -> None:
         """Put the hierarchy back into a :meth:`timing_state` snapshot.
 
-        Containers are mutated in place, never rebound — the fused data
-        path and the run loop's code probe hold references to
+        Containers are mutated in place, never rebound — the machine's
+        fused paths and the run loop's code probe hold references to
         the tag/dirty lists and the statistics objects.
         """
         self.data_cache.tags[:] = state["data_tags"]
@@ -448,8 +245,8 @@ class MemorySystem:
         a reused engine must present *cold* caches, an empty store,
         layout-pristine zone limits and a clean MMU, or its simulated
         statistics diverge from a fresh machine's.  Every container is
-        mutated in place, never rebound — the fused data path and the
-        run loop's code probe capture ``store.words``,
+        mutated in place, never rebound — the machine's fused paths and
+        the run loop's code probe capture ``store.words``,
         ``data_cache.tags``/``dirty`` and ``code_cache.tags`` by
         reference.
         """

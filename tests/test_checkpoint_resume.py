@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.machine import CP_ARGS, Machine
+from repro.core.machine import _FUSED, CP_ARGS, Machine
 from repro.core.tags import Zone
 from repro.core.traps import MachineCheckpoint
 from repro.core.word import ZERO_WORD, make_int
@@ -157,8 +157,7 @@ def _past_the_data_space(zone, fast_path=True):
     zones.set_limits(zone, zones.entries[zone].min_address,
                      DATA_SPACE_WORDS + 0x1000)
     if fast_path:
-        machine._read, machine._write, machine.deref = \
-            machine.memory.fused_data_path(machine)
+        machine.__dict__.update(zip(_FUSED, machine._fused_paths()))
     assert machine._read(DATA_SPACE_WORDS, zone) is ZERO_WORD
     return machine
 
@@ -193,9 +192,8 @@ def _choice_point(machine, bind, create_choice_point):
                          ids=["trail_push", "binding", "choice_point"])
 def test_fused_control_path_write_past_the_data_space_raises(zone, write):
     machine = _past_the_data_space(zone)
-    bind, _, _, create_choice_point, _, _ = machine._fused_control_path()
     with pytest.raises(IndexError):
-        write(machine, bind, create_choice_point)
+        write(machine, machine.bind, machine._create_choice_point)
     assert max(machine.memory.store.words, default=0) < DATA_SPACE_WORDS
 
 

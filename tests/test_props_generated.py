@@ -7,17 +7,24 @@ The programs are small and terminate by construction: predicates
 ``p0``..``p3``, each of arity 1-3 with 1-3 clauses, whose bodies call
 only lower-numbered predicates.  Heads and goals mix atoms, small
 integers, lists, ``f/1`` and ``f/2`` structures and variables, with
-``=/2``, ``is/2``, ``</2``, ``==/2``, ``integer/1`` and cut, so the
-runs reach first-argument indexing, cut barriers, shallow and deep
-backtracking, arithmetic traps and cyclic answers in blocks that no
-suite program has, and every block they enter is fused on first entry.
+``=/2``, ``is/2``, ``</2``, ``==/2``, ``integer/1``, cut and ``fail``,
+so the runs reach first-argument indexing, cut barriers, shallow and
+deep backtracking, arithmetic traps and cyclic answers in blocks that
+no suite program has, and every block they enter is fused on first
+entry.
 ``is/2`` also draws float operands, so a product may leave single
 precision; since the compiler folds constant arithmetic, one goal
 shape binds ``F`` to a drawn float and squares it, which overflows at
 run time, inside a fused block.
+
+The same programs also run as sessions: stepped one answer at a time
+through ``QueryService.run_steps``, each paused token pickled and
+resumed on a warm-reused machine and on a fresh one, they stream the
+uninterrupted run's answers and end with its ``RunStats``.
 """
 
 import dataclasses
+import pickle
 
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
@@ -29,6 +36,7 @@ from repro.core.superops import SuperopFuser
 from repro.core.symbols import SymbolTable
 from repro.errors import ArithmeticError_
 from repro.prolog.writer import term_to_text
+from repro.serve import ImageCache, QueryService
 
 #: A safety net only: the programs are finite, but a few multiply
 #: their clauses' answers into long runs.  A run stopped here is not
@@ -70,7 +78,7 @@ def call(draw, name, arity):
 def goal(draw, arities):
     """One body goal; ``arities`` are those of the callable (lower
     numbered) predicates."""
-    kinds = ("=", "is", "float", "<", "==", "integer", "!")
+    kinds = ("=", "is", "float", "<", "==", "integer", "!", "fail")
     kind = draw(st.sampled_from(kinds + ("call",) if arities else kinds))
     if kind == "call":
         callee = draw(st.integers(0, len(arities) - 1))
@@ -87,7 +95,7 @@ def goal(draw, arities):
         return f"{draw(operand)} < {draw(operand)}"
     if kind == "integer":
         return f"integer({draw(term)})"
-    return "!"
+    return kind
 
 
 @st.composite
@@ -134,10 +142,13 @@ def observe(run, machine):
     except Exception as err:    # the error is the observation
         return (type(err).__name__, str(err), getattr(err, "pc", None),
                 dataclasses.asdict(machine.stats))
-    answers = tuple(tuple((name, term_to_text(value))
-                          for name, value in solution.items())
-                    for solution in machine.solutions)
-    return answers, dataclasses.asdict(stats)
+    return answers_of(machine.solutions), dataclasses.asdict(stats)
+
+
+def answers_of(solutions):
+    return tuple(tuple((name, term_to_text(value))
+                       for name, value in solution.items())
+                 for solution in solutions)
 
 
 def observe_run(machine, image):
@@ -183,3 +194,43 @@ def test_stopped_and_resumed_run_ends_like_uninterrupted(program, data):
         result = observe(lambda: machine.resume(extra_cycles=extra),
                          machine)
     assert result == reference
+
+
+@given(program=programs())
+@settings(max_examples=50, deadline=None)
+def test_session_streams_like_the_uninterrupted_run(program):
+    """Stepped through ``run_steps`` one answer at a time, a finished
+    query streams the seed run's answers and its last step carries the
+    seed run's ``RunStats``.  Each paused token is pickled and resumed
+    both on the same service (its warm-reused machine) and on a new
+    service over the same image cache (a fresh machine); the two steps
+    must agree, and the stream goes on from them alternately."""
+    image = link(program)
+    reference = observe_run(machine_over(image, "seed"), image)
+    assume(isinstance(reference[0], tuple))     # ran to completion
+    source, query = program
+    cache = ImageCache()
+
+    def step(service, payload):
+        result = service.run_steps([("gen", query, payload)],
+                                   max_cycles=BUDGET)[0]
+        assert result.ok, result.error
+        return result, (answers_of(result.solutions), result.paused,
+                        dataclasses.asdict(result.stats))
+
+    with QueryService({"gen": source}, workers=0, cache=cache) as same:
+        result, seen = step(same, None)
+        resumes = 0
+        while result.paused:
+            assert len(seen[0]) == resumes + 1  # one answer per step
+            assert len(seen[0]) <= len(reference[0])
+            payload = pickle.loads(pickle.dumps(result.session_payload))
+            warm = step(same, payload)
+            with QueryService({"gen": source}, workers=0,
+                              cache=cache) as other:
+                fresh = step(other, payload)
+            assert warm[1] == fresh[1]
+            assert warm[1][0][:len(seen[0])] == seen[0]
+            result, seen = (warm, fresh)[resumes % 2]
+            resumes += 1
+    assert (seen[0], seen[2]) == reference

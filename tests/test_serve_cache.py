@@ -11,7 +11,7 @@ import pytest
 
 from repro.api import QueryResult, run_query
 from repro.compiler.linker import Linker
-from repro.core.machine import Machine
+from repro.core.machine import _FUSED, Machine
 from repro.core.statistics import RunStats
 from repro.core.symbols import SymbolTable
 from repro.core.tags import Zone
@@ -228,14 +228,14 @@ class TestPickleRoundTrips:
         result = run_query(APPEND, "append([1, 2], [3], X)",
                            all_solutions=True)
         machine = result.machine
-        # Install the fused closures exactly as _execute would; a
+        # Install all nine fused closures exactly as _execute would; a
         # pickle taken mid-run must drop them (they capture the memory
         # hierarchy and cannot cross a process boundary).
-        machine._read, machine._write, machine.deref = \
-            machine.memory.fused_data_path(machine)
+        machine.__dict__.update(zip(_FUSED, machine._fused_paths()))
         clone = pickle.loads(pickle.dumps(machine))
-        assert "_read" not in clone.__dict__
-        assert "deref" not in clone.__dict__
+        for name in _FUSED:
+            assert name in machine.__dict__
+            assert name not in clone.__dict__
         # The clone re-runs to the same result: dispatch is rebuilt on
         # unpickle, predecode lazily on the first run.
         clone.reset_for_reuse()

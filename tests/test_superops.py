@@ -5,6 +5,7 @@ memo key that lets every machine bind that code."""
 
 import dataclasses
 import pickle
+import sys
 
 import pytest
 
@@ -131,6 +132,131 @@ class TestErrorsInsideFusedBlocks:
                 assert machine._predecoded.fused_count > 0
             seen.append((info.value.pc, dataclasses.asdict(machine.stats)))
         assert seen[0] == seen[1] == seen[2]
+
+
+def _hand_assembled(op, symbols):
+    """Straight-line code, entered at address 0 by the bootstrap stub,
+    that runs ``op`` inside a block of two or more instructions: the
+    compiler never emits JUMP, GET_Y_VALUE or UNIFY_Y_VALUE, and puts
+    HALT and RETRY only in blocks of their own."""
+    f1 = symbols.functor_index("f", 1)
+    return {
+        Op.JUMP: [Instruction(Op.PUT_CONSTANT, make_int(1), 1),
+                  Instruction(Op.JUMP, 3),
+                  Instruction(Op.PUT_CONSTANT, make_int(2), 1)],
+        # Halts mid-code, before the stub's own HALT.
+        Op.HALT: [Instruction(Op.PUT_CONSTANT, make_int(1), 1),
+                  Instruction(Op.HALT),
+                  Instruction(Op.PUT_CONSTANT, make_int(2), 1)],
+        # TRY, a shallow failure back into [PUT_CONSTANT, RETRY], a
+        # second one into TRUST, which succeeds.
+        Op.RETRY: [Instruction(Op.TRY, 4, 0),
+                   Instruction(Op.PUT_CONSTANT, make_int(7), 1),
+                   Instruction(Op.RETRY, 6, 0),
+                   Instruction(Op.TRUST, 8, 0),
+                   Instruction(Op.PUT_CONSTANT, make_int(5), 2),
+                   Instruction(Op.FAIL),
+                   Instruction(Op.PUT_CONSTANT, make_int(6), 3),
+                   Instruction(Op.FAIL),
+                   Instruction(Op.PUT_CONSTANT, make_int(8), 4)],
+        # The first GET_Y_VALUE binds Y0, the second fails on it.
+        Op.GET_Y_VALUE: [Instruction(Op.ALLOCATE, 1),
+                         Instruction(Op.PUT_Y_VARIABLE, 0, 0),
+                         Instruction(Op.PUT_CONSTANT, make_int(5), 1),
+                         Instruction(Op.GET_Y_VALUE, 0, 1),
+                         Instruction(Op.PUT_Y_VALUE, 0, 2),
+                         Instruction(Op.PUT_CONSTANT, make_int(6), 3),
+                         Instruction(Op.GET_Y_VALUE, 0, 3),
+                         Instruction(Op.DEALLOCATE)],
+        # UNIFY_Y_VALUE in write mode, then in read mode.
+        Op.UNIFY_Y_VALUE: [Instruction(Op.ALLOCATE, 1),
+                           Instruction(Op.PUT_CONSTANT, make_int(3), 0),
+                           Instruction(Op.GET_Y_VARIABLE, 0, 0),
+                           Instruction(Op.PUT_STRUCTURE, f1, 1),
+                           Instruction(Op.UNIFY_Y_VALUE, 0),
+                           Instruction(Op.GET_STRUCTURE, f1, 1),
+                           Instruction(Op.UNIFY_Y_VALUE, 0),
+                           Instruction(Op.DEALLOCATE)],
+    }[op] + [Instruction(Op.PROCEED)]
+
+
+#: Small programs whose compiled code runs the op inside a fused block.
+COLD_OP_PROGRAMS = {
+    Op.FAIL: ("p(X) :- X = 1, fail.\np(2).\n", "p(X)"),
+    Op.GET_LEVEL: ("p(X) :- q(Y), !, X = Y.\nq(1).\nq(2).\n", "p(X)"),
+    Op.PUT_X_VARIABLE: ("p(X) :- q(_, X).\nq(1, 2).\nq(3, 4).\n", "p(X)"),
+    Op.PUT_NIL: ("p(X) :- q(X, []).\nq(1, []).\n", "p(X)"),
+    Op.UNIFY_Y_VARIABLE: ("p(f(_, _, X)) :- X = 1.\n",
+                          "p(f(a, b, Z)), p(W)"),
+    Op.UNIFY_VOID: ("p(f(_, _, X)) :- X = 1.\n", "p(f(a, b, Z)), p(W)"),
+}
+
+COLD_OPS = (Op.JUMP, Op.HALT, Op.FAIL, Op.RETRY, Op.GET_LEVEL,
+            Op.GET_Y_VALUE, Op.PUT_X_VARIABLE, Op.PUT_NIL,
+            Op.UNIFY_Y_VARIABLE, Op.UNIFY_Y_VALUE, Op.UNIFY_VOID)
+
+
+class TestColdOpsInsideFusedBlocks:
+    """The ops without an inline emitter, each run through its bound
+    handler inside a fused block: the fused run, the unfused fast path
+    and the seed agree on answers (or registers and written cells) and
+    full ``RunStats``."""
+
+    PATHS = (dict(fast_path=True),
+             dict(fast_path=True, features=Features(superops=False)),
+             dict(fast_path=False))
+
+    @staticmethod
+    def load(op, options):
+        machine = Machine(symbols=SymbolTable(), **options)
+        if op in COLD_OP_PROGRAMS:
+            compile_and_load(*COLD_OP_PROGRAMS[op], machine=machine)
+            return machine, machine.image.entry
+        for instr in _hand_assembled(op, machine.symbols):
+            machine.code.append(instr)
+            machine.code.extend([None] * (instr.size - 1))
+        return machine, 0
+
+    @staticmethod
+    def observe(machine, entry):
+        image = getattr(machine, "image", None)
+        if image is None:
+            stats = machine.run(entry)
+            shown = (list(machine.regs.cells),
+                     dict(machine.memory.store.words),
+                     machine.halted, machine.exhausted)
+        else:
+            stats = machine.run(entry, collect_all=True,
+                                answer_names=image.query_variable_names)
+            shown = [{name: term_to_text(term)
+                      for name, term in solution.items()}
+                     for solution in machine.solutions]
+        return shown, dataclasses.asdict(stats)
+
+    @pytest.mark.parametrize("op", COLD_OPS, ids=lambda op: op.name)
+    def test_op_runs_through_its_handler_inside_a_fused_block(self, op):
+        fused, entry = self.load(op, self.PATHS[0])
+        callers = []
+        handler = fused._dispatch[op]
+
+        def traced(instr):
+            callers.append(sys._getframe(1).f_code.co_name)
+            handler(instr)
+        fused._dispatch[op] = traced
+        fused._bootstrap_stub(entry)
+        table = fused._ensure_predecoded()
+        assert table.fused_count == 0
+        observed = self.observe(fused, entry)
+        assert fused._predecoded is table and table.fused_count > 0
+        # The handler ran from a superop, which binds the op's
+        # instruction only when it emits the op through its handler.
+        assert "_superop" in callers
+        assert any(isinstance(bound, Instruction) and bound.op is op
+                   for view in table.entries
+                   if view is not None and view[0] == ()
+                   for bound in view[4].__defaults__)
+        for options in self.PATHS[1:]:
+            assert self.observe(*self.load(op, options)) == observed
 
 
 class TestFusionOnFirstEntry:
