@@ -50,7 +50,8 @@ from repro.core.registers import RegisterFile, ShadowState
 from repro.core.statistics import RunStats
 from repro.core.symbols import SymbolTable
 from repro.core.tags import (
-    ADDRESS_MASK, TAG_TYPE_SHIFT, Type, Zone, tag_zone,
+    ADDRESS_MASK, PAGE_NUMBER_MASK, PAGE_OFFSET_BITS, TAG_TYPE_SHIFT, Type,
+    Zone, tag_zone,
 )
 from repro.core.trail import Trail
 from repro.core.word import (
@@ -69,6 +70,7 @@ from repro.errors import (
 )
 from repro.memory.layout import initial_stack_pointer
 from repro.memory.memory_system import MemorySystem
+from repro.memory.mmu import DIRTY, REFERENCED, VALID, WRITABLE
 
 #: size of the recently-executed-addresses ring buffer kept by the run
 #: loop (power of two; the index mask below depends on it).
@@ -99,7 +101,8 @@ ENV_Y0 = 2
 #: The methods a fast-path run shadows with the closures of
 #: Machine._fused_paths, in the order it returns them.
 _FUSED = ("_read", "_write", "deref", "bind", "unify", "fail",
-          "_create_choice_point", "_refresh_barriers", "_pop_choice_point")
+          "_create_choice_point", "_refresh_barriers", "_pop_choice_point",
+          "_code_fetch")
 
 
 class Machine:
@@ -334,6 +337,9 @@ class Machine:
         self.cycles += cycles - 1
         self.stats.data_writes += 1
 
+    def _code_fetch(self, address: int) -> int:
+        return self.memory.code_fetch(address)
+
     def _trail_read(self, address: int, zone: Zone) -> Word:
         return self._read(address, zone)
 
@@ -463,10 +469,11 @@ class Machine:
         return True
 
     def _fused_paths(self) -> tuple:
-        """Single-frame replacements for the nine methods named in
+        """Single-frame replacements for the ten methods named in
         ``_FUSED``, returned in that order: the data accessors
-        ``_read``/``_write``/``deref`` and the control path (``bind``,
-        ``unify``, ``fail``, choice-point create/refresh/pop).
+        ``_read``/``_write``/``deref``, the control path (``bind``,
+        ``unify``, ``fail``, choice-point create/refresh/pop) and the
+        code fetch ``_code_fetch``.
 
         The layered data path costs around eight Python frames per
         access (machine wrapper, zone check, containment, store, miss
@@ -474,14 +481,36 @@ class Machine:
         cycle-accurate interpreter.  ``read``/``write`` fold the *happy*
         path — zone check passes, cache hits — into one frame, including
         the cycle/statistics accounting of the class methods above, and
-        fall back to :meth:`ZoneChecker.check`, :meth:`DataStore.write`
-        and the cache's miss path for every edge, so traps, messages and
-        every counter (zone ``checks``/``violations``, cache statistics,
-        ``uninitialised_reads``, MMU faults, ``RunStats`` data accesses)
-        are bit-identical.  The control closures replicate the class
-        methods statement for statement — same counters, same cycle
-        charges, same raise points — with the per-call attribute traffic
-        hoisted into the closure and the trail check inlined.
+        fall back to :meth:`ZoneChecker.check` and
+        :meth:`DataStore.write` for every zone or store edge, so traps,
+        messages and every counter (zone ``checks``/``violations``,
+        cache statistics, ``uninitialised_reads``, MMU faults,
+        ``RunStats`` data accesses) are bit-identical.  The control
+        closures replicate the class methods statement for statement —
+        same counters, same cycle charges, same raise points — with the
+        per-call attribute traffic hoisted into the closure and the
+        trail check inlined.
+
+        A data-cache miss goes to ``miss``, and an instruction fetch to
+        ``code_fetch``.  Every pooled query starts with cold caches
+        (:meth:`reset_for_reuse`), so these are per-query costs, not a
+        fresh machine's.  Each folds the cache miss
+        (:meth:`DataCache.access`, :meth:`CodeCache.fetch` with its
+        prefetch burst), the main-memory transfer
+        (:meth:`MainMemory.read_words`/``write_words``: counters plus
+        the per-run ``word_cycles``) and :meth:`MMU.translate` of a page
+        already mapped (valid, and writable for a write) into one
+        frame, and logs each line it fills (:mod:`repro.memory.cache`).
+        Any other page — absent, left at status 0 by the fault
+        injector, or read-only on a write — calls :meth:`MMU.translate`,
+        which maps, faults or raises exactly as the layered path does:
+        the cache and main-memory counters are committed first, the
+        MMU's own counters by ``translate``, and ``machine.cycles`` and
+        ``RunStats`` only by the caller once the access completes.
+        This miss rule is written once, here; the layered methods
+        (:meth:`MemorySystem.data_read`/``data_write``/``code_fetch``
+        and below) stay as the seed the ablation runs and the tests
+        compare against.
 
         The zone-check and cache-probe hit rule (paper §3.2.3–3.2.4) is
         written here twice: generically in ``read``/``write``, the zone
@@ -490,23 +519,27 @@ class Machine:
         the control closures.  The superop emitters write it a third
         time (``_Chunk.read_zone``/``write_zone`` in
         :mod:`repro.core.superops`) with the constants baked into block
-        source.  Closures and templates stay two forms of one rule:
-        the closures capture the run's ``RunStats`` and are built per
-        run, so generating them from the templates would need a compile
-        memo keyed by machine configuration.
+        source; their misses go through ``read``/``write`` and the
+        preamble's code-cache miss through ``m._code_fetch``.  Closures
+        and templates stay two forms of one rule: the closures capture
+        the run's ``RunStats`` and are built per run, so generating
+        them from the templates would need a compile memo keyed by
+        machine configuration.
 
         :meth:`_execute` installs them as instance attributes for one
         fast-path run and pops them in its ``finally``, so the ablation
         (``fast_path=False``) and accesses between runs take the class
-        methods.  Everything captured but the ``RunStats`` (zone
-        entries, the store's ``words`` dict, cache tag/dirty lists,
-        counter objects) is mutated in place and never rebound.  A
-        hit-path write stores straight into ``words`` only below the
-        store's ``size``; a zone moved past the data space
-        (:meth:`ZoneChecker.set_limits` allows it) sends the write to
-        :meth:`DataStore.write`, which raises ``IndexError``.  The
-        property tests in ``tests/test_props_fastpath.py`` pin the
-        equivalence, including under injected faults.
+        methods.  Everything captured but the ``RunStats`` and the
+        memory timing (zone entries, the store's ``words`` dict, cache
+        tag/dirty lists and fill logs, page tables, counter objects) is
+        mutated in place and never rebound.  A hit-path write stores
+        straight into ``words`` only below the store's ``size``; a zone
+        moved past the data space (:meth:`ZoneChecker.set_limits`
+        allows it) sends the write to :meth:`DataStore.write`, which
+        raises ``IndexError``.  The property tests in
+        ``tests/test_props_fastpath.py`` and
+        ``tests/test_props_generated.py`` pin the equivalence, with
+        ``memory.timing_state()`` included, under injected faults too.
         """
         machine = self
         memory = self.memory
@@ -526,12 +559,54 @@ class Machine:
         cstats = cache.stats
         tags = cache.tags
         dirty = cache.dirty
+        log_fill = cache.fills.append
         sectioned = cache.sectioned
         main = cache.memory
-        translate = memory.mmu.translate
+        word_cycles = main.timing.word_cycles(1)
+        mmu = memory.mmu
+        translate = mmu.translate
+        data_table = mmu.data_table
         stats = self.stats
         address_mask = ADDRESS_MASK
         DATA_PTR = Type.DATA_PTR
+        page_shift = PAGE_OFFSET_BITS
+        page_mask = PAGE_NUMBER_MASK
+        read_ok = VALID
+        write_ok = VALID | WRITABLE
+        read_marks = REFERENCED
+        write_marks = REFERENCED | DIRTY
+
+        def miss(address, index, tag, is_write):
+            # DataCache.access's miss, then the transfer, then
+            # MMU.translate; returns the penalty cycles.
+            cstats.misses += 1
+            if tags[index] is None:
+                log_fill(index)
+                penalty = word_cycles
+            elif dirty[index]:
+                cstats.write_backs += 1
+                main.writes += 1
+                main.words_written += 1
+                penalty = word_cycles + word_cycles
+            else:
+                penalty = word_cycles
+            main.reads += 1
+            main.words_read += 1
+            tags[index] = tag
+            dirty[index] = is_write
+            # Logical cache: translate only on the miss.
+            entry = data_table.get((address >> page_shift) & page_mask)
+            if is_write:
+                if (entry is not None
+                        and entry.status & write_ok == write_ok):
+                    mmu.translations += 1
+                    entry.status |= write_marks
+                    return penalty
+            elif entry is not None and entry.status & read_ok:
+                mmu.translations += 1
+                entry.status |= read_marks
+                return penalty
+            return penalty + translate(address, is_write)[1]
 
         def read(address, zone, word_type=DATA_PTR):
             # Counter ordering mirrors the layered path exactly: the
@@ -565,16 +640,7 @@ class Machine:
                 cstats.read_hits += 1
                 stats.data_reads += 1
                 return word
-            cstats.misses += 1
-            penalty = 0
-            if tags[index] is not None and dirty[index]:
-                cstats.write_backs += 1
-                penalty += main.write_words(1)
-            penalty += main.read_words(1)
-            tags[index] = tag
-            dirty[index] = False
-            _, fault = translate(address, False)
-            machine.cycles += penalty + fault
+            machine.cycles += miss(address, index, tag, False)
             stats.data_reads += 1
             return word
 
@@ -615,17 +681,41 @@ class Machine:
                 dirty[index] = True
                 stats.data_writes += 1
                 return
-            cstats.misses += 1
-            penalty = 0
-            if tags[index] is not None and dirty[index]:
-                cstats.write_backs += 1
-                penalty += main.write_words(1)
-            penalty += main.read_words(1)
-            tags[index] = tag
-            dirty[index] = True
-            _, fault = translate(address, True)
-            machine.cycles += penalty + fault
+            machine.cycles += miss(address, index, tag, True)
             stats.data_writes += 1
+
+        code_cache = memory.code_cache
+        ctags = code_cache.tags
+        code_stats = code_cache.stats
+        log_code_fill = code_cache.fills.append
+        prefetch = code_cache.prefetch_words
+        burst_cycles = main.timing.word_cycles(prefetch)
+        code_table = mmu.code_table
+
+        def code_fetch(address):
+            # MemorySystem.code_fetch: CodeCache.fetch with its burst
+            # install and read_words(prefetch), then MMU.translate of
+            # the code page.
+            if not timing:
+                return 0
+            code_stats.reads += 1
+            if ctags[address & 8191] == address >> 13:
+                code_stats.read_hits += 1
+                return 0
+            code_stats.misses += 1
+            main.reads += 1
+            main.words_read += prefetch
+            for a in range(address, address + prefetch):
+                index = a & 8191
+                if ctags[index] is None:
+                    log_code_fill(index)
+                ctags[index] = a >> 13
+            entry = code_table.get((address >> page_shift) & page_mask)
+            if entry is not None and entry.status & read_ok:
+                mmu.translations += 1
+                entry.status |= read_marks
+                return burst_cycles
+            return burst_cycles + translate(address, False, True)[1]
 
         # Reference-chain walking is the single hottest compound
         # operation (one read per link), so deref inlines the *hit*
@@ -958,7 +1048,7 @@ class Machine:
             refresh_barriers()
 
         return (read, write, deref, bind, unify, fail, create_choice_point,
-                refresh_barriers, pop_choice_point)
+                refresh_barriers, pop_choice_point, code_fetch)
 
     # ------------------------------------------------------------------
     # stack geometry
@@ -1315,10 +1405,11 @@ class Machine:
         On the fast path the step comes predecoded from
         :attr:`PredecodedCode.singles` and the code-cache hit probe is
         inlined (a hit touches only the two read counters, batched
-        here and flushed on every exit).  With ``fast_path=False``, the
-        ablation, it is decoded from ``self.code`` and every fetch goes
-        through :meth:`MemorySystem.code_fetch`, so the ablation builds
-        no predecode table.
+        here and flushed on every exit); a miss takes the fused
+        ``_code_fetch``.  With ``fast_path=False``, the ablation, it is
+        decoded from ``self.code`` and every fetch goes through
+        :meth:`MemorySystem.code_fetch`, so the ablation builds no
+        predecode table.
 
         Fusion applies on the fast path while nothing observes or
         recovers single instructions: no tracer, no armed trap vector,
@@ -1344,18 +1435,19 @@ class Machine:
         tracer = self.tracer
         injector = self.injector
         recovering = self.trap_vector.armed or injector is not None
-        code_fetch = memory.code_fetch
         line_tags, index_mask, tag_shift = memory.code_probe_state()
         cache_stats = memory.code_cache.stats
         entries = singles = None
         probe = False
         if self.fast_path:
+            code_fetch = self._code_fetch
             table = self._ensure_predecoded()
             singles = table.singles
             if tracer is None and not recovering:
                 entries = table.entries
             probe = memory.timing_enabled
         else:
+            code_fetch = memory.code_fetch
             code = self.code
             dispatch = self._dispatch
             instruction_cost = self.costs.instruction_cost

@@ -209,12 +209,12 @@ class SuperopFuser:
 
     Captures the machine objects that are stable across
     ``reset_for_reuse`` (register file cells, code-cache tag list and
-    stats, the code-fetch bound method — see the stability notes on
+    stats — see the stability notes on
     :meth:`Machine.reset_for_reuse`); per-run state (``stats``, the
-    fused memory closures, the recent-PC ring index) is fetched inside
-    each closure call.  One fuser lives as long as its predecoded
-    table, since a block may first run several warm reuses after the
-    translation.
+    fused memory closures and code fetch, the recent-PC ring index) is
+    fetched inside each closure call.  One fuser lives as long as its
+    predecoded table, since a block may first run several warm reuses
+    after the translation.
 
     ``code_memo`` maps a block's key to its compiled ``_superop``
     code object and the :class:`_Recipe` of its defaults.
@@ -294,7 +294,6 @@ class SuperopFuser:
             "m": machine,
             "cells": machine.regs.cells,
             "MEM": memory,
-            "cfetch": memory.code_fetch,
             "tags": tags,
             "cs": memory.code_cache.stats,
             "ZN": memory.zones,
@@ -452,7 +451,7 @@ class SuperopFuser:
             suf[k] = (cost_after + steps[k][1], instr_after + 1,
                       infer_after + steps[k][2])
         gen = _Gen()
-        for name in ("cells", "MEM", "cfetch", "tags", "cs"):
+        for name in ("cells", "MEM", "tags", "cs"):
             gen.use(name)
         suf_name = gen.const(tuple(suf), "SUF")
 
@@ -1271,9 +1270,10 @@ class _Chunk:
     def emit_preamble(self, step: Tuple) -> None:
         """Per-instruction bookkeeping identical to the run loop's:
         deviation cursor, P advance, recent-PC ring write, and the
-        inlined code-cache probe (miss path charges the fetch and, on
-        a fetch trap, takes back this instruction's own share — the
-        function-level handler takes back the suffix)."""
+        inlined code-cache probe (a miss charges the run's fused
+        ``m._code_fetch`` and, on a fetch trap, takes back this
+        instruction's own share — the function-level handler takes
+        back the suffix)."""
         fuser = self.fuser
         k = self.k
         self.put(f"u = {k + 1}")
@@ -1285,7 +1285,7 @@ class _Chunk:
         self.put("        h_ += 1")
         self.put("    else:")
         self.put("        try:")
-        self.put(f"            m.cycles += cfetch({self.pc})")
+        self.put(f"            m.cycles += m._code_fetch({self.pc})")
         self.put("        except BaseException:")
         self.put(f"            m.cycles -= {step[1]}")
         self.put("            stats.instructions -= 1")

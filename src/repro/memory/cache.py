@@ -21,6 +21,24 @@ Code cache
 Both are timing models over the functional store: they track which
 addresses would be resident and charge miss/write-back cycles, while
 word contents live in :class:`repro.memory.store.DataStore`.
+
+Fill log
+    Each cache keeps ``fills``, the index of every line that went from
+    invalid (tag ``None``) to valid since the last clear, so a clear
+    (``invalidate``, ``DataCache.flush``, the engine-reuse reset) costs
+    the lines a run touched rather than all 8K.  Invariant: every
+    writer of a cache's tags logs the fills it makes or marks the log
+    incomplete.  The writers are the methods below and the fast path's
+    single-frame miss and code fetch
+    (:meth:`repro.core.machine.Machine._fused_paths`), which capture
+    ``fills.append``; so, like the tag lists, the log is mutated in
+    place and never rebound.  :meth:`DataCache.load` and
+    :meth:`CodeCache.load` (a checkpoint restore) write the lists
+    wholesale and mark the log incomplete; the next clear then rewrites
+    every line from one shared cold constant and starts a complete log.
+    Appending to an incomplete log is harmless.  A valid or dirty line
+    is always in a complete log; a line cleared by hand may stay in it,
+    which only costs its clear.
 """
 
 from __future__ import annotations
@@ -29,6 +47,12 @@ from dataclasses import dataclass
 
 from repro.core.tags import Zone
 from repro.memory.main_memory import MainMemory
+
+#: 8K lines per cache; the shared cold contents a clear of an
+#: incomplete fill log copies from (never mutated).
+LINES = 8 * 1024
+_NO_TAGS = (None,) * LINES
+_CLEAN = (False,) * LINES
 
 
 @dataclass
@@ -74,7 +98,7 @@ class DataCache:
     """
 
     #: Total size in words (8K) and number of zone-selected sections.
-    TOTAL_WORDS = 8 * 1024
+    TOTAL_WORDS = LINES
     SECTIONS = 8
 
     def __init__(self, memory: MainMemory, sectioned: bool = True):
@@ -86,6 +110,9 @@ class DataCache:
         # when plain.  Tag None == invalid line.
         self.tags = [None] * self.TOTAL_WORDS
         self.dirty = [False] * self.TOTAL_WORDS
+        #: lines filled since the last clear (module docstring).
+        self.fills: "list[int]" = []
+        self.fills_complete = True
         self.stats = CacheStats()
 
     def _index_and_tag(self, address: int, zone: Zone) -> "tuple[int, int]":
@@ -117,7 +144,9 @@ class DataCache:
         # Miss: write back the victim if dirty, then allocate the line.
         penalty = 0
         stats.misses += 1
-        if self.tags[index] is not None and self.dirty[index]:
+        if self.tags[index] is None:
+            self.fills.append(index)
+        elif self.dirty[index]:
             stats.write_backs += 1
             penalty += self.memory.write_words(1)
         # Copy-back caches allocate on both read and write misses.
@@ -128,15 +157,47 @@ class DataCache:
 
     def flush(self) -> int:
         """Write back all dirty lines and invalidate; returns cycles.
-        (Used by the runtime when re-zoning pages, section 3.2.1.)"""
+        (Used by the runtime when re-zoning pages, section 3.2.1.)
+        Visits only the logged lines when the fill log is complete."""
         cycles = 0
-        for i in range(self.TOTAL_WORDS):
-            if self.tags[i] is not None and self.dirty[i]:
+        tags = self.tags
+        dirty = self.dirty
+        for i in (self.fills if self.fills_complete
+                  else range(self.TOTAL_WORDS)):
+            if tags[i] is not None and dirty[i]:
                 cycles += self.memory.write_words(1)
                 self.stats.write_backs += 1
-            self.tags[i] = None
-            self.dirty[i] = False
+            tags[i] = None
+            dirty[i] = False
+        self.fills.clear()
+        self.fills_complete = True
         return cycles
+
+    def invalidate(self) -> None:
+        """Invalidate every line without writing back (the engine-reuse
+        reset, which zeroes the statistics anyway): the logged lines,
+        or every line when the log is incomplete."""
+        fills = self.fills
+        if self.fills_complete:
+            tags = self.tags
+            dirty = self.dirty
+            for i in fills:
+                tags[i] = None
+                dirty[i] = False
+        else:
+            self.tags[:] = _NO_TAGS
+            self.dirty[:] = _CLEAN
+            self.fills_complete = True
+        fills.clear()
+
+    def load(self, tags, dirty) -> None:
+        """Write the tag and dirty lists wholesale (a checkpoint
+        restore); the log no longer covers the valid lines, so it is
+        marked incomplete."""
+        self.tags[:] = tags
+        self.dirty[:] = dirty
+        self.fills.clear()
+        self.fills_complete = False
 
     def resident(self, address: int, zone: Zone) -> bool:
         """Whether ``address`` currently hits (inspection for tests)."""
@@ -156,12 +217,15 @@ class CodeCache:
     (section 3.2.1).
     """
 
-    TOTAL_WORDS = 8 * 1024
+    TOTAL_WORDS = LINES
 
     def __init__(self, memory: MainMemory, prefetch_words: int = 4):
         self.memory = memory
         self.prefetch_words = prefetch_words
         self.tags = [None] * self.TOTAL_WORDS
+        #: lines filled since the last clear (module docstring).
+        self.fills: "list[int]" = []
+        self.fills_complete = True
         self.stats = CacheStats()
 
     def fetch(self, address: int) -> int:
@@ -169,9 +233,10 @@ class CodeCache:
         80 ns read."""
         stats = self.stats
         stats.reads += 1
+        tags = self.tags
         index = address & (self.TOTAL_WORDS - 1)
         tag = address >> 13
-        if self.tags[index] == tag:
+        if tags[index] == tag:
             stats.read_hits += 1
             return 0
         stats.misses += 1
@@ -179,20 +244,41 @@ class CodeCache:
         # Install the prefetched burst.
         for i in range(self.prefetch_words):
             a = address + i
-            self.tags[a & (self.TOTAL_WORDS - 1)] = a >> 13
+            index = a & (self.TOTAL_WORDS - 1)
+            if tags[index] is None:
+                self.fills.append(index)
+            tags[index] = a >> 13
         return penalty
 
     def write(self, address: int) -> int:
         """Code-space write (incremental compilation); write-through."""
         self.stats.writes += 1
         index = address & (self.TOTAL_WORDS - 1)
+        if self.tags[index] is None:
+            self.fills.append(index)
         self.tags[index] = address >> 13
         self.stats.write_hits += 1
         return self.memory.write_words(1)
 
     def invalidate(self) -> None:
         """Invalidate the whole cache (batch code generation hand-over,
-        section 3.2.1).  In place: the run loop's inlined hit probe
-        (:meth:`MemorySystem.code_probe_state`) holds a reference to
-        the tag list."""
-        self.tags[:] = [None] * self.TOTAL_WORDS
+        section 3.2.1, and the engine-reuse reset): the logged lines,
+        or every line when the log is incomplete.  In place: the run
+        loop's inlined hit probe (:meth:`MemorySystem.code_probe_state`)
+        holds a reference to the tag list."""
+        fills = self.fills
+        if self.fills_complete:
+            tags = self.tags
+            for i in fills:
+                tags[i] = None
+        else:
+            self.tags[:] = _NO_TAGS
+            self.fills_complete = True
+        fills.clear()
+
+    def load(self, tags) -> None:
+        """Write the tag list wholesale (a checkpoint restore) and mark
+        the fill log incomplete."""
+        self.tags[:] = tags
+        self.fills.clear()
+        self.fills_complete = False

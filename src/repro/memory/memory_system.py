@@ -17,12 +17,15 @@ mode skips the cache/MMU models entirely (functional simulation only),
 used by tests that don't care about cycles.
 
 This is the layered path only, the seed reference.  The fast path's
-single-frame data accessors, which fold the zone-check and cache-hit
-rule of both paths above into one Python frame and fall back here on
-every edge, are built with the machine's control-path closures in one
-scope, :meth:`repro.core.machine.Machine._fused_paths`; they hold
-references to this hierarchy's containers, which is why every method
-below mutates them in place and never rebinds them.
+single-frame accessors are built with the machine's control-path
+closures in one scope, :meth:`repro.core.machine.Machine._fused_paths`:
+they fold the zone-check and cache-hit rule of both paths above into
+one Python frame, and a cache miss with its main-memory transfer and
+the translation of an already-mapped page into one more, calling
+:meth:`MMU.translate` for any other page.  They hold references to
+this hierarchy's containers (tag and dirty lists, fill logs, page
+tables, counters), which is why every method below mutates them in
+place and never rebinds them.
 """
 
 from __future__ import annotations
@@ -123,12 +126,13 @@ class MemorySystem:
         ``line_tags[address & index_mask] == address >> tag_shift``
         themselves — a hit costs zero penalty cycles and touches
         nothing but the read counters, which they batch and flush
-        through :attr:`code_cache` ``.stats`` — and fall back to the
-        full :meth:`code_fetch` path on a miss, so miss/prefetch/MMU
-        behaviour and every counter stay bit-identical to the seed
-        interpreter, which calls :meth:`code_fetch` for every
-        instruction.  The tag list is mutated in place by the cache,
-        never rebound, so the reference stays valid across the run.
+        through :attr:`code_cache` ``.stats`` — and take the fused code
+        fetch (``Machine._code_fetch``, :meth:`code_fetch` in one frame)
+        on a miss, so miss/prefetch/MMU behaviour and every counter
+        stay bit-identical to the seed interpreter, which calls
+        :meth:`code_fetch` for every instruction.  The tag list is
+        mutated in place by the cache, never rebound, so the reference
+        stays valid across the run.
         """
         cache = self.code_cache
         return cache.tags, cache.TOTAL_WORDS - 1, 13
@@ -205,13 +209,15 @@ class MemorySystem:
 
         Containers are mutated in place, never rebound — the machine's
         fused paths and the run loop's code probe hold references to
-        the tag/dirty lists and the statistics objects.
+        the tag/dirty lists and the statistics objects.  The snapshot's
+        tag lists are dense, so the caches load them wholesale and mark
+        their fill logs incomplete (:mod:`repro.memory.cache`): the
+        next :meth:`reset_for_reuse` rewrites every line.
         """
-        self.data_cache.tags[:] = state["data_tags"]
-        self.data_cache.dirty[:] = state["data_dirty"]
+        self.data_cache.load(state["data_tags"], state["data_dirty"])
         for name, value in state["data_stats"].items():
             setattr(self.data_cache.stats, name, value)
-        self.code_cache.tags[:] = state["code_tags"]
+        self.code_cache.load(state["code_tags"])
         for name, value in state["code_stats"].items():
             setattr(self.code_cache.stats, name, value)
         main = state["main_memory"]
@@ -247,14 +253,18 @@ class MemorySystem:
         statistics diverge from a fresh machine's.  Every container is
         mutated in place, never rebound — the machine's fused paths and
         the run loop's code probe capture ``store.words``,
-        ``data_cache.tags``/``dirty`` and ``code_cache.tags`` by
-        reference.
+        ``data_cache.tags``/``dirty``, ``code_cache.tags`` and both
+        fill logs by reference.
+
+        Both caches clear only the lines their fill logs name, a median
+        of about 130 data and 90 code lines per pooled query instead of
+        three 8K-slot lists; after a checkpoint restore (an incomplete
+        log) the same call rewrites every line.
         """
         self.store.words.clear()
         self.store.uninitialised_reads = 0
         self.zones.reset_limits()
-        self.data_cache.tags[:] = [None] * DataCache.TOTAL_WORDS
-        self.data_cache.dirty[:] = [False] * DataCache.TOTAL_WORDS
+        self.data_cache.invalidate()
         self.code_cache.invalidate()
         self.mmu.reset()
         self.reset_statistics()

@@ -129,3 +129,44 @@ class TestCodeCache:
         for _ in range(9):
             cache.fetch(0)
         assert cache.stats.hit_ratio == pytest.approx(0.9)
+
+
+def test_fill_log_lists_exactly_the_valid_lines(memory):
+    """Each cache logs the lines that go from invalid to valid, once
+    each, and a clear empties the log with the lines it names."""
+    def valid(cache):
+        return [i for i, tag in enumerate(cache.tags) if tag is not None]
+
+    data = DataCache(memory, sectioned=True)
+    for address, zone, is_write in [
+            (0x40000, Zone.GLOBAL, True),             # cold miss
+            (0x40000, Zone.GLOBAL, False),            # hit
+            (0x40000 + 1024, Zone.GLOBAL, False),     # dirty conflict
+            (0x180000, Zone.LOCAL, True)]:            # other section
+        data.access(address, zone, is_write)
+    assert data.flush() > 0
+    assert data.fills == [] and valid(data) == []
+    for address, zone, is_write in [
+            (0x40005, Zone.GLOBAL, False),            # cold miss
+            (0x40005 + 1024, Zone.GLOBAL, True),      # clean conflict
+            (0x40005, Zone.GLOBAL, True),             # dirty conflict
+            (0x40005, Zone.GLOBAL, False),            # hit
+            (0x180007, Zone.LOCAL, True),             # cold miss
+            (0x100003, Zone.CONTROL, False)]:         # cold miss
+        data.access(address, zone, is_write)
+    assert sorted(data.fills) == valid(data)
+    assert len(data.fills) == 3
+    data.invalidate()
+    assert data.fills == [] and valid(data) == []
+    assert set(data.dirty) == {False}
+
+    code = CodeCache(memory, prefetch_words=4)
+    code.fetch(100)                                   # burst 100..103
+    code.fetch(102)                                   # hit
+    code.fetch(102 + CodeCache.TOTAL_WORDS)           # conflicts 102..105
+    code.write(5000)                                  # write-through fill
+    code.write(100)                                   # already valid
+    assert sorted(code.fills) == valid(code) == [100, 101, 102, 103,
+                                                 104, 105, 5000]
+    code.invalidate()
+    assert code.fills == [] and valid(code) == []

@@ -1,7 +1,10 @@
 """Property: the predecoded fast path is observation-equivalent to the
 seed interpreter (``fast_path=False``) on the benchmark corpus — same
-simulated cycles, counters and answers — including runs with injected
-faults routed through the recovery loop."""
+simulated cycles, counters and answers, and the same memory hierarchy
+afterwards (``timing_state()``: cache tags, dirty bits and statistics,
+main-memory counters, MMU entries and counters, zone checks) —
+including runs with injected faults routed through the recovery
+loop."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,11 +35,10 @@ def observe(name, fast_path, fault_plan):
                                  zone_squeezes=squeezes,
                                  spurious=spurious,
                                  horizon=FAULT_HORIZON)
+    machine = Machine(symbols=SymbolTable(), fast_path=fast_path)
     result = run_query(bench.source_pure, bench.query_pure,
                        all_solutions=bench.all_solutions,
-                       machine=Machine(symbols=SymbolTable(),
-                                       fast_path=fast_path),
-                       injector=injector)
+                       machine=machine, injector=injector)
     stats = result.stats
     answers = tuple(tuple((n, term_to_text(t)) for n, t in sol.items())
                     for sol in result.solutions)
@@ -49,6 +51,7 @@ def observe(name, fast_path, fault_plan):
         "traps_raised": stats.traps_raised,
         "traps_recovered": stats.traps_recovered,
         "answers": answers,
+        "hierarchy": machine.memory.timing_state(),
     }
 
 

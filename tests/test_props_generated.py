@@ -1,17 +1,20 @@
 """Properties over generated programs, not only the PLM corpus: every
-execution path gives the same answers and the same full ``RunStats``,
-and a fused run stopped by its cycle budget and resumed ends where the
+execution path gives the same answers, the same full ``RunStats`` and
+the same memory hierarchy afterwards (``timing_state()``), and a fused
+run stopped by its cycle budget and resumed ends where the
 uninterrupted run ends.
 
 The programs are small and terminate by construction: predicates
 ``p0``..``p3``, each of arity 1-3 with 1-3 clauses, whose bodies call
 only lower-numbered predicates.  Heads and goals mix atoms, small
 integers, lists, ``f/1`` and ``f/2`` structures and variables, with
-``=/2``, ``is/2``, ``</2``, ``==/2``, ``integer/1``, cut and ``fail``,
-so the runs reach first-argument indexing, cut barriers, shallow and
-deep backtracking, arithmetic traps and cyclic answers in blocks that
-no suite program has, and every block they enter is fused on first
-entry.
+``=/2``, ``is/2``, ``</2``, ``==/2``, ``integer/1``, cut, ``fail`` and
+disjunctions of two or three unifications, which the compiler turns
+into a choice point inside the clause, so the runs reach
+first-argument indexing, cut barriers, shallow and deep backtracking,
+queries with several answers, arithmetic traps and cyclic answers in
+blocks that no suite program has, and every block they enter is fused
+on first entry.
 ``is/2`` also draws float operands, so a product may leave single
 precision; since the compiler folds constant arithmetic, one goal
 shape binds ``F`` to a drawn float and squares it, which overflows at
@@ -78,11 +81,16 @@ def call(draw, name, arity):
 def goal(draw, arities):
     """One body goal; ``arities`` are those of the callable (lower
     numbered) predicates."""
-    kinds = ("=", "is", "float", "<", "==", "integer", "!", "fail")
+    kinds = ("=", "is", "float", "<", "==", "integer", "!", "fail", ";")
     kind = draw(st.sampled_from(kinds + ("call",) if arities else kinds))
     if kind == "call":
         callee = draw(st.integers(0, len(arities) - 1))
         return call(draw, f"p{callee}", arities[callee])
+    if kind == ";":
+        branches = draw(st.lists(st.tuples(variable, term), min_size=2,
+                                 max_size=3))
+        return "({})".format(" ; ".join(f"{var} = {value}"
+                                        for var, value in branches))
     if kind in ("=", "=="):
         return f"{draw(term)} {kind} {draw(term)}"
     if kind == "is":
@@ -157,22 +165,31 @@ def observe_run(machine, image):
         answer_names=image.query_variable_names), machine)
 
 
+def observe_hierarchy(machine, image):
+    """:func:`observe_run` and the memory hierarchy the run leaves:
+    cache tags, dirty bits and statistics, main-memory counters, MMU
+    entries and counters, zone checks (``RunStats`` sees none of
+    them)."""
+    return observe_run(machine, image), machine.memory.timing_state()
+
+
 @given(program=programs())
 @settings(max_examples=100, deadline=None)
 def test_every_path_agrees(program):
     image = link(program)
-    fused, unfused, seed = (observe_run(machine_over(image, path), image)
-                            for path in PATHS)
+    fused, unfused, seed = (
+        observe_hierarchy(machine_over(image, path), image)
+        for path in PATHS)
     # The unfused fast path stops at the seed's instruction even on the
     # budget; the fused path is compared on every run that finishes.
     assert unfused == seed
-    assert (fused[0] == STOPPED) == (seed[0] == STOPPED)
-    if seed[0] != STOPPED:
+    assert (fused[0][0] == STOPPED) == (seed[0][0] == STOPPED)
+    if seed[0][0] != STOPPED:
         assert fused == seed
     # A second fused machine over the image binds every block from the
     # image's memo, compiling nothing, and runs exactly as the first.
     compiles = SuperopFuser.compiles_performed
-    assert observe_run(machine_over(image, "fused"), image) == fused
+    assert observe_hierarchy(machine_over(image, "fused"), image) == fused
     assert SuperopFuser.compiles_performed == compiles
 
 

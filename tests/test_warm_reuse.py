@@ -11,6 +11,8 @@ import pytest
 
 from repro.bench.programs import SUITE, SUITE_ORDER
 from repro.core.machine import Machine
+from repro.core.traps import MachineCheckpoint
+from repro.errors import CycleLimitExceeded
 from repro.prolog.writer import term_to_text
 from repro.recovery import FaultInjector, install_default_recovery
 from repro.serve import ImageCache
@@ -54,10 +56,7 @@ def test_reused_machine_matches_fresh(name):
         f"{name}: run after reset_for_reuse diverged from a fresh run")
 
 
-def test_reused_machine_leaves_no_residue(name="nrev1"):
-    bench, image, machine = _load(name)
-    _run(machine, image, bench)
-    machine.reset_for_reuse()
+def _assert_no_residue(machine):
     memory = machine.memory
     assert memory.store.words == {}
     assert memory.store.uninitialised_reads == 0
@@ -65,13 +64,77 @@ def test_reused_machine_leaves_no_residue(name="nrev1"):
     assert memory.mmu.resident_pages() == []
     assert memory.mmu.resident_pages(code_space=True) == []
     assert set(memory.data_cache.tags) == {None}
+    assert set(memory.data_cache.dirty) == {False}
     assert set(memory.code_cache.tags) == {None}
+    for cache in (memory.data_cache, memory.code_cache):
+        assert cache.fills == [] and cache.fills_complete
     assert memory.data_cache.stats.accesses == 0
     for zone, region in memory.zones._layout.items():
         entry = memory.zones.entries[zone]
         assert (entry.min_address, entry.max_address) \
             == (region.base, region.limit)
     assert all(cell.value == 0 for cell in machine.regs.cells)
+
+
+def test_reused_machine_leaves_no_residue(name="nrev1"):
+    bench, image, machine = _load(name)
+    _run(machine, image, bench)
+    machine.reset_for_reuse()
+    _assert_no_residue(machine)
+
+
+def _seed_run(machine, image, bench):
+    machine.fast_path = False
+    _run(machine, image, bench)
+
+
+def _run_after_restore(machine, image, bench):
+    """Stop the run on its budget, checkpoint, reset, restore and
+    resume: the restore loads dense tag lists, so the reset after it
+    finds the fill logs incomplete."""
+    budget = machine.max_cycles
+    machine.max_cycles = 2_000
+    with pytest.raises(CycleLimitExceeded):
+        _run(machine, image, bench)
+    checkpoint = MachineCheckpoint.capture(machine)
+    machine.reset_for_reuse()
+    machine._bootstrap_stub(image.entry)
+    checkpoint.restore(machine)
+    machine.max_cycles = budget
+    machine.resume()
+    assert not machine.memory.data_cache.fills_complete
+
+
+def _run_with_faults(machine, image, bench):
+    install_default_recovery(machine)
+    FaultInjector(seed=11, page_faults=2, zone_squeezes=1, spurious=1,
+                  horizon=20_000).attach(machine)
+    _run(machine, image, bench)
+    assert machine.stats.traps_recovered > 0
+
+
+def _code_write_and_flush(machine, image, bench):
+    _run(machine, image, bench)
+    memory = machine.memory
+    tags = memory.code_cache.tags
+    memory.code_write(3 * len(tags) + tags.index(None))
+    memory.data_cache.flush()
+    _run(machine, image, bench)
+
+
+@pytest.mark.parametrize("fill", [
+    _seed_run, _run_after_restore, _run_with_faults,
+    _code_write_and_flush], ids=lambda fill: fill.__name__.strip("_"))
+def test_reset_leaves_no_residue_whoever_filled_the_lines(fill,
+                                                          name="nrev1"):
+    """The fast-path run above is one source of cache fills; the
+    layered path, a checkpoint restore (which leaves the fill logs
+    incomplete), fault recovery, a code write and a data-cache flush
+    are the others."""
+    bench, image, machine = _load(name)
+    fill(machine, image, bench)
+    machine.reset_for_reuse()
+    _assert_no_residue(machine)
 
 
 @pytest.mark.parametrize("plan", [
