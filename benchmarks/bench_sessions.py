@@ -37,8 +37,9 @@ import time
 #: the open/done churn path, query exercises the zero-solution stream.
 CORPUS = ["queens", "mutest", "con1", "nrev1", "divide10", "query"]
 
-#: forces hibernation: far below one pickled checkpoint, so every
-#: idle session's resume token spills and every step wakes one.
+#: forces hibernation: below every pickled checkpoint of the corpus
+#: (13-18 KB for queens and mutest), so every idle session's resume
+#: token spills and every step wakes one.
 PRESSURE_BUDGET = 4_096
 
 

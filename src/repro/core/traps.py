@@ -238,7 +238,8 @@ class MachineCheckpoint:
     written store cells (which hold all four stacks and the trail
     contents), the zone limits, run statistics and
     collected solutions — plus, since the resilient-serving work, the
-    *timing* state (cache tags, MMU translations, traffic counters via
+    *timing* state (the valid cache lines, MMU translations, traffic
+    counters via
     :meth:`~repro.memory.memory_system.MemorySystem.timing_state`) and
     the host-side run context (recent-PC ring, entry name, trap log,
     livelock counters, fault-injector progress).  The original
@@ -249,9 +250,12 @@ class MachineCheckpoint:
     (solutions **and** ``RunStats``) to the uninterrupted one.
 
     Checkpoints are pickle-safe (words, zone enums and trap reports all
-    pickle).  Every capture is full: ``store_words`` is a copy of the
-    store's dict of written cells, so its size follows what the run
-    wrote, not the address space it spans.
+    pickle).  Every capture is full and follows what the run touched,
+    not the space it spans: ``store_words`` is a copy of the store's
+    dict of written cells, and the timing state holds the lines the
+    caches' fill logs name, which are exactly the valid lines.  A
+    restore clears each cache through its log and replays those lines
+    (:mod:`repro.memory.cache`).
 
     Use :meth:`repro.core.machine.Machine.checkpoint` /
     :meth:`~repro.core.machine.Machine.restore`; after a restore,
@@ -269,8 +273,8 @@ class MachineCheckpoint:
     output: List[str]
     answer_names: List[str]
     collect_all: bool
-    timing: Optional[Dict[str, object]] = None
-    host: Optional[Dict[str, object]] = None
+    timing: Dict[str, object]                  # MemorySystem.timing_state()
+    host: Dict[str, object]                    # host-side run context
 
     @property
     def cycles(self) -> int:
@@ -311,9 +315,7 @@ class MachineCheckpoint:
             "retry_pc": machine._retry_pc,
             "retry_kind": machine._retry_kind,
             "retry_count": machine._retry_count,
-            "trap_log": (machine.trap_log.snapshot()
-                         if isinstance(machine.trap_log, TrapLogRing)
-                         else list(machine.trap_log)),
+            "trap_log": machine.trap_log.snapshot(),
             "injector": (injector.runtime_state()
                          if injector is not None else None),
         }
@@ -335,11 +337,12 @@ class MachineCheckpoint:
     def restore(self, machine) -> None:
         """Put ``machine`` back into the captured state.
 
-        Safe on the capturing machine and on a fresh machine loaded
-        with the same image (resume-on-respawn): every captured
-        container is written in place — the fused data path, generated
-        superop code and the run loops hold references to the store's
-        ``words`` dict, the cache tag lists and the recent-PC ring.
+        Safe on the capturing machine, on a fresh machine loaded with
+        the same image (resume-on-respawn) and on one that holds
+        another run's cache lines: every captured container is written
+        in place — the fused data path, generated superop code and the
+        run loops hold references to the store's ``words`` dict, the
+        cache tag lists and fill logs and the recent-PC ring.
         """
         state = self.state
         machine.p = state["p"]
@@ -358,14 +361,14 @@ class MachineCheckpoint:
                            state["shadow_tr"])
         machine.trail.top = state["trail_top"]
         machine.trail.pushes = state["trail_pushes"]
-        machine.trail.checks = state.get("trail_checks", 0)
+        machine.trail.checks = state["trail_checks"]
         machine.cycles = state["cycles"]
         machine.max_cycles = state["max_cycles"]
         machine.running = state["running"]
         machine.halted = state["halted"]
         machine.exhausted = state["exhausted"]
-        machine.stop_on_solution = state.get("stop_on_solution", False)
-        machine.solution_paused = state.get("solution_paused", False)
+        machine.stop_on_solution = state["stop_on_solution"]
+        machine.solution_paused = state["solution_paused"]
         machine.regs.cells[:] = self.registers
         words = machine.memory.store.words
         words.clear()
@@ -379,16 +382,14 @@ class MachineCheckpoint:
         machine.output = list(self.output)
         machine.answer_names = list(self.answer_names)
         machine.collect_all = self.collect_all
-        if self.timing is not None:
-            machine.memory.restore_timing_state(self.timing)
+        machine.memory.restore_timing_state(self.timing)
         host = self.host
-        if host is not None:
-            machine._recent_pcs[:] = host["recent_pcs"]
-            machine._recent_index = host["recent_index"]
-            machine._entry_name = host["entry_name"]
-            machine._retry_pc = host["retry_pc"]
-            machine._retry_kind = host["retry_kind"]
-            machine._retry_count = host["retry_count"]
-            machine.trap_log = TrapLogRing.restore(host["trap_log"])
-            if host["injector"] is not None and machine.injector is not None:
-                machine.injector.set_runtime_state(host["injector"])
+        machine._recent_pcs[:] = host["recent_pcs"]
+        machine._recent_index = host["recent_index"]
+        machine._entry_name = host["entry_name"]
+        machine._retry_pc = host["retry_pc"]
+        machine._retry_kind = host["retry_kind"]
+        machine._retry_count = host["retry_count"]
+        machine.trap_log = TrapLogRing.restore(host["trap_log"])
+        if host["injector"] is not None and machine.injector is not None:
+            machine.injector.set_runtime_state(host["injector"])

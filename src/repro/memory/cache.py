@@ -24,21 +24,20 @@ word contents live in :class:`repro.memory.store.DataStore`.
 
 Fill log
     Each cache keeps ``fills``, the index of every line that went from
-    invalid (tag ``None``) to valid since the last clear, so a clear
-    (``invalidate``, ``DataCache.flush``, the engine-reuse reset) costs
-    the lines a run touched rather than all 8K.  Invariant: every
-    writer of a cache's tags logs the fills it makes or marks the log
-    incomplete.  The writers are the methods below and the fast path's
-    single-frame miss and code fetch
+    invalid (tag ``None``) to valid since the last clear.  Invariant:
+    the log names exactly the valid lines, so it is the one record of
+    what a cache holds.  A clear (``invalidate``, ``DataCache.flush``,
+    the engine-reuse reset) visits the lines a run touched rather than
+    all 8K, and a checkpoint (:meth:`DataCache.lines`,
+    :meth:`CodeCache.lines`) holds only those lines.  Every writer of a
+    cache's tags logs the fills it makes: the methods below and the
+    fast path's single-frame miss and code fetch
     (:meth:`repro.core.machine.Machine._fused_paths`), which capture
     ``fills.append``; so, like the tag lists, the log is mutated in
-    place and never rebound.  :meth:`DataCache.load` and
-    :meth:`CodeCache.load` (a checkpoint restore) write the lists
-    wholesale and mark the log incomplete; the next clear then rewrites
-    every line from one shared cold constant and starts a complete log.
-    Appending to an incomplete log is harmless.  A valid or dirty line
-    is always in a complete log; a line cleared by hand may stay in it,
-    which only costs its clear.
+    place and never rebound.  A checkpoint restore (``replay``) clears
+    a cache through its log, then writes the captured lines back and
+    logs each one.  A line cleared by hand may stay in the log, which
+    only costs its clear; ``lines`` skips it.
 """
 
 from __future__ import annotations
@@ -47,12 +46,6 @@ from dataclasses import dataclass
 
 from repro.core.tags import Zone
 from repro.memory.main_memory import MainMemory
-
-#: 8K lines per cache; the shared cold contents a clear of an
-#: incomplete fill log copies from (never mutated).
-LINES = 8 * 1024
-_NO_TAGS = (None,) * LINES
-_CLEAN = (False,) * LINES
 
 
 @dataclass
@@ -98,7 +91,7 @@ class DataCache:
     """
 
     #: Total size in words (8K) and number of zone-selected sections.
-    TOTAL_WORDS = LINES
+    TOTAL_WORDS = 8 * 1024
     SECTIONS = 8
 
     def __init__(self, memory: MainMemory, sectioned: bool = True):
@@ -112,7 +105,6 @@ class DataCache:
         self.dirty = [False] * self.TOTAL_WORDS
         #: lines filled since the last clear (module docstring).
         self.fills: "list[int]" = []
-        self.fills_complete = True
         self.stats = CacheStats()
 
     def _index_and_tag(self, address: int, zone: Zone) -> "tuple[int, int]":
@@ -158,46 +150,44 @@ class DataCache:
     def flush(self) -> int:
         """Write back all dirty lines and invalidate; returns cycles.
         (Used by the runtime when re-zoning pages, section 3.2.1.)
-        Visits only the logged lines when the fill log is complete."""
+        Visits only the logged lines."""
         cycles = 0
         tags = self.tags
         dirty = self.dirty
-        for i in (self.fills if self.fills_complete
-                  else range(self.TOTAL_WORDS)):
+        for i in self.fills:
             if tags[i] is not None and dirty[i]:
                 cycles += self.memory.write_words(1)
                 self.stats.write_backs += 1
-            tags[i] = None
-            dirty[i] = False
-        self.fills.clear()
-        self.fills_complete = True
+        self.invalidate()
         return cycles
 
     def invalidate(self) -> None:
-        """Invalidate every line without writing back (the engine-reuse
-        reset, which zeroes the statistics anyway): the logged lines,
-        or every line when the log is incomplete."""
-        fills = self.fills
-        if self.fills_complete:
-            tags = self.tags
-            dirty = self.dirty
-            for i in fills:
-                tags[i] = None
-                dirty[i] = False
-        else:
-            self.tags[:] = _NO_TAGS
-            self.dirty[:] = _CLEAN
-            self.fills_complete = True
-        fills.clear()
-
-    def load(self, tags, dirty) -> None:
-        """Write the tag and dirty lists wholesale (a checkpoint
-        restore); the log no longer covers the valid lines, so it is
-        marked incomplete."""
-        self.tags[:] = tags
-        self.dirty[:] = dirty
+        """Invalidate the logged lines without writing back (the
+        engine-reuse reset, which zeroes the statistics anyway)."""
+        tags = self.tags
+        dirty = self.dirty
+        for i in self.fills:
+            tags[i] = None
+            dirty[i] = False
         self.fills.clear()
-        self.fills_complete = False
+
+    def lines(self) -> "dict[int, tuple[int, bool]]":
+        """The valid lines, read from the log: index -> (tag, dirty)."""
+        tags = self.tags
+        dirty = self.dirty
+        return {i: (tags[i], dirty[i]) for i in self.fills
+                if tags[i] is not None}
+
+    def replay(self, lines: "dict[int, tuple[int, bool]]") -> None:
+        """Hold exactly ``lines`` (a :meth:`lines` record): invalidate,
+        then fill each line and log it (a checkpoint restore)."""
+        self.invalidate()
+        tags = self.tags
+        dirty = self.dirty
+        for i, (tag, is_dirty) in lines.items():
+            tags[i] = tag
+            dirty[i] = is_dirty
+        self.fills.extend(lines)
 
     def resident(self, address: int, zone: Zone) -> bool:
         """Whether ``address`` currently hits (inspection for tests)."""
@@ -217,7 +207,7 @@ class CodeCache:
     (section 3.2.1).
     """
 
-    TOTAL_WORDS = LINES
+    TOTAL_WORDS = 8 * 1024
 
     def __init__(self, memory: MainMemory, prefetch_words: int = 4):
         self.memory = memory
@@ -225,7 +215,6 @@ class CodeCache:
         self.tags = [None] * self.TOTAL_WORDS
         #: lines filled since the last clear (module docstring).
         self.fills: "list[int]" = []
-        self.fills_complete = True
         self.stats = CacheStats()
 
     def fetch(self, address: int) -> int:
@@ -262,23 +251,25 @@ class CodeCache:
 
     def invalidate(self) -> None:
         """Invalidate the whole cache (batch code generation hand-over,
-        section 3.2.1, and the engine-reuse reset): the logged lines,
-        or every line when the log is incomplete.  In place: the run
-        loop's inlined hit probe (:meth:`MemorySystem.code_probe_state`)
-        holds a reference to the tag list."""
-        fills = self.fills
-        if self.fills_complete:
-            tags = self.tags
-            for i in fills:
-                tags[i] = None
-        else:
-            self.tags[:] = _NO_TAGS
-            self.fills_complete = True
-        fills.clear()
-
-    def load(self, tags) -> None:
-        """Write the tag list wholesale (a checkpoint restore) and mark
-        the fill log incomplete."""
-        self.tags[:] = tags
+        section 3.2.1, and the engine-reuse reset) through the log.  In
+        place: the run loop's inlined hit probe
+        (:meth:`MemorySystem.code_probe_state`) holds a reference to
+        the tag list."""
+        tags = self.tags
+        for i in self.fills:
+            tags[i] = None
         self.fills.clear()
-        self.fills_complete = False
+
+    def lines(self) -> "dict[int, int]":
+        """The valid lines, read from the log: index -> tag."""
+        tags = self.tags
+        return {i: tags[i] for i in self.fills if tags[i] is not None}
+
+    def replay(self, lines: "dict[int, int]") -> None:
+        """Hold exactly ``lines`` (a :meth:`lines` record): invalidate,
+        then fill each line and log it (a checkpoint restore)."""
+        self.invalidate()
+        tags = self.tags
+        for i, tag in lines.items():
+            tags[i] = tag
+        self.fills.extend(lines)

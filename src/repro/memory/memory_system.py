@@ -166,13 +166,18 @@ class MemorySystem:
         deliberately treated caches and page tables as expendable — fine
         for restoring onto the machine that captured them (its warm
         state is a superset), but resuming on a *fresh* machine must
-        reproduce cache tags, MMU translations and every statistics
+        reproduce cache contents, MMU translations and every statistics
         counter or the resumed run's cycle accounting diverges from the
         uninterrupted run.  Mirrors :meth:`reset_for_reuse`'s inventory
         of state a run dirties.
+
+        The caches' part is their valid lines, read from the fill logs
+        (:mod:`repro.memory.cache`), which name exactly those lines: a
+        dict from line index to ``(tag, dirty)`` for the data cache and
+        to the tag for the code cache.  Its size follows the lines a
+        run touched, and it compares equal whatever order they were
+        filled in.
         """
-        data_cache = self.data_cache
-        code_cache = self.code_cache
         main = self.main_memory
         mmu = self.mmu
         entries = {(virtual_page, code_space): (entry.status,
@@ -181,11 +186,10 @@ class MemorySystem:
                    for virtual_page, entry
                    in mmu._table(code_space).items()}
         return {
-            "data_tags": list(data_cache.tags),
-            "data_dirty": list(data_cache.dirty),
-            "data_stats": vars(data_cache.stats).copy(),
-            "code_tags": list(code_cache.tags),
-            "code_stats": vars(code_cache.stats).copy(),
+            "data_lines": self.data_cache.lines(),
+            "data_stats": vars(self.data_cache.stats).copy(),
+            "code_lines": self.code_cache.lines(),
+            "code_stats": vars(self.code_cache.stats).copy(),
             "main_memory": {
                 "reads": main.reads, "writes": main.writes,
                 "words_read": main.words_read,
@@ -209,15 +213,16 @@ class MemorySystem:
 
         Containers are mutated in place, never rebound — the machine's
         fused paths and the run loop's code probe hold references to
-        the tag/dirty lists and the statistics objects.  The snapshot's
-        tag lists are dense, so the caches load them wholesale and mark
-        their fill logs incomplete (:mod:`repro.memory.cache`): the
-        next :meth:`reset_for_reuse` rewrites every line.
+        the tag/dirty lists, the fill logs and the statistics objects.
+        Each cache is cleared through its fill log, then the snapshot's
+        lines are replayed into it and logged, so the log still names
+        exactly the valid lines and the next :meth:`reset_for_reuse`
+        clears only those.
         """
-        self.data_cache.load(state["data_tags"], state["data_dirty"])
+        self.data_cache.replay(state["data_lines"])
         for name, value in state["data_stats"].items():
             setattr(self.data_cache.stats, name, value)
-        self.code_cache.load(state["code_tags"])
+        self.code_cache.replay(state["code_lines"])
         for name, value in state["code_stats"].items():
             setattr(self.code_cache.stats, name, value)
         main = state["main_memory"]
@@ -258,8 +263,8 @@ class MemorySystem:
 
         Both caches clear only the lines their fill logs name, a median
         of about 130 data and 90 code lines per pooled query instead of
-        three 8K-slot lists; after a checkpoint restore (an incomplete
-        log) the same call rewrites every line.
+        three 8K-slot lists; a checkpoint restore logs the lines it
+        replays, so the same holds after it.
         """
         self.store.words.clear()
         self.store.uninitialised_reads = 0

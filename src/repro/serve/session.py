@@ -113,16 +113,20 @@ class _Session:
     query: str
     lease_expires: float
     started: bool = False             # a first step has run
-    streamed: int = 0                 # solutions delivered so far
+    #: the solutions delivered so far.  Every outcome's cumulative
+    #: ``solutions`` shares these objects rather than its own step's
+    #: decode of every earlier answer, so a client that keeps a
+    #: stream's outcomes holds each answer once.
+    delivered: List[dict] = field(default_factory=list)
     migrations: int = 0               # crashed attempts survived
     worker: int = -1                  # worker that served the last step
     #: the search exhausted on a step that still carried a fresh
     #: solution (possible: the last answer and exhaustion share an
     #: instruction boundary, e.g. a determinate single-solution query).
     #: The fresh solution was delivered as SOLUTION; the next advance
-    #: delivers DONE from these parked finals without running a step.
+    #: delivers DONE from ``delivered`` and these parked final stats
+    #: without running a step.
     finished: bool = False
-    final_solutions: List[dict] = field(default_factory=list)
     final_stats: Optional[object] = None
 
 
@@ -346,14 +350,14 @@ class SessionService:
         record.worker = result.worker
         record.migrations += crashed_attempts
         self._counters["migrations"] += crashed_attempts
-        fresh = result.solutions[record.streamed:]
+        fresh = result.solutions[len(record.delivered):]
+        record.delivered.extend(fresh)
         if result.paused:
-            record.streamed = len(result.solutions)
             self.store.put(record.session_id, result.session_payload)
             return StepOutcome(
                 session_id=record.session_id, status=SOLUTION,
                 solution=fresh[-1] if fresh else None,
-                solutions=list(result.solutions),
+                solutions=list(record.delivered),
                 migrated=crashed_attempts > 0,
                 attempts=result.attempts, worker=result.worker)
         # Search finished: the terminal step's solutions/stats are
@@ -361,23 +365,22 @@ class SessionService:
         self.store.pop(record.session_id)
         if fresh:
             # The last answer coincided with exhaustion: deliver it as
-            # a SOLUTION now and park the finals — the next advance
-            # reports DONE so the stream's contract (SOLUTION carries
-            # exactly one fresh answer, DONE carries none) holds.
-            record.streamed = len(result.solutions)
+            # a SOLUTION now and park the final stats — the next
+            # advance reports DONE so the stream's contract (SOLUTION
+            # carries exactly one fresh answer, DONE carries none)
+            # holds.
             record.finished = True
-            record.final_solutions = list(result.solutions)
             record.final_stats = result.stats
             return StepOutcome(
                 session_id=record.session_id, status=SOLUTION,
-                solution=fresh[-1], solutions=list(result.solutions),
+                solution=fresh[-1], solutions=list(record.delivered),
                 migrated=crashed_attempts > 0,
                 attempts=result.attempts, worker=result.worker)
         self._sessions.pop(record.session_id, None)
         self._counters["sessions_done"] += 1
         return StepOutcome(
             session_id=record.session_id, status=DONE,
-            solutions=list(result.solutions), stats=result.stats,
+            solutions=list(record.delivered), stats=result.stats,
             migrated=crashed_attempts > 0,
             attempts=result.attempts, worker=result.worker)
 
@@ -397,7 +400,7 @@ class SessionService:
         self._counters["sessions_done"] += 1
         return StepOutcome(
             session_id=record.session_id, status=DONE,
-            solutions=list(record.final_solutions),
+            solutions=list(record.delivered),
             stats=record.final_stats, worker=record.worker)
 
     # -- introspection ---------------------------------------------------------

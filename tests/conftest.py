@@ -44,3 +44,11 @@ def member_program() -> str:
 def term(text: str):
     """Parse one term (test shorthand)."""
     return parse_term(text)
+
+
+def assert_logs_name_the_valid_lines(memory) -> None:
+    """Each cache's fill log names exactly its valid lines, found by a
+    scan of its tag list."""
+    for cache in (memory.data_cache, memory.code_cache):
+        valid = [i for i, tag in enumerate(cache.tags) if tag is not None]
+        assert sorted(cache.fills) == valid

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compiler.linker import Linker
 from repro.core.machine import _FUSED, CP_ARGS, Machine
+from repro.core.symbols import SymbolTable
 from repro.core.tags import Zone
 from repro.core.traps import MachineCheckpoint
 from repro.core.word import ZERO_WORD, make_int
 from repro.memory.layout import DATA_SPACE_WORDS
 from repro.recovery import FaultInjector, install_default_recovery
 from repro.serve import ImageCache
+from tests.conftest import assert_logs_name_the_valid_lines
 
 APPEND = ("append([], L, L). "
           "append([H|T], L, [H|R]) :- append(T, L, R).")
@@ -143,6 +146,52 @@ def test_checkpoint_pickle_round_trip_is_faithful():
     assert clone.host is not None
     assert ckpt.store_words
     assert clone.store_words == ckpt.store_words
+
+
+# -- restore by replay ------------------------------------------------------
+
+def _holding_other_lines(image):
+    """A machine that ran a different query of the program to the end
+    first, then took ``image``: it holds that run's cache lines, dirty
+    ones included, none of which the checkpoint names."""
+    other = Linker(symbols=image.symbols).link(NREV, "mklist(300, L)")
+    machine = Machine(symbols=image.symbols)
+    other.install(machine)
+    machine.run(other.entry, answer_names=other.query_variable_names)
+    assert any(machine.memory.data_cache.dirty)
+    image.install(machine)
+    return machine
+
+
+@pytest.mark.parametrize("place", ["fresh", "holding_other_lines"])
+def test_restore_replays_the_checkpoints_lines(place):
+    """A mid-run checkpoint resumed on a fresh machine, and on one that
+    already holds other lines, ends with the uninterrupted run's
+    answers, ``RunStats`` and memory hierarchy; the restore clears each
+    cache through its log and replays the checkpoint's lines into it,
+    so after the restore and after the resume the log names exactly
+    the valid lines."""
+    image = Linker(symbols=SymbolTable()).link(NREV, "run(20, R)")
+    reference = _fresh(image)
+    stats = reference.run(image.entry,
+                          answer_names=image.query_variable_names)
+    expected = (_signature(reference, stats),
+                reference.memory.timing_state())
+    _, checkpoints = _run_checkpointed(image, every=1_000)
+    middle = pickle.loads(pickle.dumps(checkpoints[len(checkpoints) // 2]))
+
+    machine = (_fresh(image) if place == "fresh"
+               else _holding_other_lines(image))
+    budget = machine.max_cycles
+    machine._bootstrap_stub(image.entry)
+    middle.restore(machine)
+    assert_logs_name_the_valid_lines(machine.memory)
+    assert machine.memory.timing_state() == middle.timing
+    machine.max_cycles = budget
+    stats = machine.resume()
+    assert (_signature(machine, stats),
+            machine.memory.timing_state()) == expected
+    assert_logs_name_the_valid_lines(machine.memory)
 
 
 # -- writes past the data space ---------------------------------------------

@@ -6,11 +6,13 @@ uninterrupted run ends.
 
 The programs are small and terminate by construction: predicates
 ``p0``..``p3``, each of arity 1-3 with 1-3 clauses, whose bodies call
-only lower-numbered predicates.  Heads and goals mix atoms, small
-integers, lists, ``f/1`` and ``f/2`` structures and variables, with
-``=/2``, ``is/2``, ``</2``, ``==/2``, ``integer/1``, cut, ``fail`` and
-disjunctions of two or three unifications, which the compiler turns
-into a choice point inside the clause, so the runs reach
+only lower-numbered predicates and ``t/1``, a table of 3-6 unit facts.
+A ``t(V)`` goal, the first goal kind (the one shrinking favours), gives
+a query many answers, and so a session many resumes.  Heads and goals
+mix atoms, small integers, lists, ``f/1`` and ``f/2`` structures and
+variables, with ``=/2``, ``is/2``, ``</2``, ``==/2``, ``integer/1``,
+cut, ``fail`` and disjunctions of two or three unifications, which the
+compiler turns into a choice point inside the clause, so the runs reach
 first-argument indexing, cut barriers, shallow and deep backtracking,
 queries with several answers, arithmetic traps and cyclic answers in
 blocks that no suite program has, and every block they enter is fused
@@ -81,7 +83,8 @@ def call(draw, name, arity):
 def goal(draw, arities):
     """One body goal; ``arities`` are those of the callable (lower
     numbered) predicates."""
-    kinds = ("=", "is", "float", "<", "==", "integer", "!", "fail", ";")
+    kinds = ("t", "=", "is", "float", "<", "==", "integer", "!", "fail",
+             ";")
     kind = draw(st.sampled_from(kinds + ("call",) if arities else kinds))
     if kind == "call":
         callee = draw(st.integers(0, len(arities) - 1))
@@ -103,6 +106,8 @@ def goal(draw, arities):
         return f"{draw(operand)} < {draw(operand)}"
     if kind == "integer":
         return f"integer({draw(term)})"
+    if kind == "t":
+        return f"t({draw(variable)})"
     return kind
 
 
@@ -110,7 +115,8 @@ def goal(draw, arities):
 def programs(draw):
     """(program source, query) for a top predicate ``p3``."""
     arities = draw(st.lists(st.integers(1, 3), min_size=4, max_size=4))
-    clauses = []
+    clauses = [f"t({fact})." for fact in draw(st.lists(term, min_size=3,
+                                                       max_size=6))]
     for index, arity in enumerate(arities):
         for _ in range(draw(st.integers(1, 3))):
             head = call(draw, f"p{index}", arity)

@@ -79,14 +79,16 @@ class TestEngine:
         assert final.stats == expected.stats
 
     def test_paused_token_holds_only_the_written_cells(self):
-        """A paused step's token copies the cells the run wrote and
-        nothing else, so it stays small: the seed path's own store
-        writes, recorded one by one, are exactly its store part."""
+        """A paused step's token copies the cells the run wrote and the
+        cache lines it filled, and nothing else, so it stays small: the
+        seed path's own store writes, recorded one by one, are exactly
+        its store part, and the seed machine's valid lines, found by a
+        scan, are exactly its cache part."""
         program, query = SUITE["query"].source_pure, "density(C, D)"
         with QueryService({"query": program}, workers=0) as service:
             result = service.run_steps([("query", query, None)])[0]
         assert result.paused
-        assert len(result.session_payload) < 64 * 1024
+        assert len(result.session_payload) < 8 * 1024
         token = pickle.loads(result.session_payload)
 
         image = ImageCache().get(program, query)
@@ -105,6 +107,12 @@ class TestEngine:
                     answer_names=image.query_variable_names)
         assert machine.solution_paused
         assert token.store_words == written
+        data, code = machine.memory.data_cache, machine.memory.code_cache
+        assert token.timing["data_lines"] == {
+            i: (tag, data.dirty[i]) for i, tag in enumerate(data.tags)
+            if tag is not None}
+        assert token.timing["code_lines"] == {
+            i: tag for i, tag in enumerate(code.tags) if tag is not None}
 
     def test_sliced_mode_checkpoints_and_stays_identical(self, reference):
         expected = _ref(reference, "queens")
@@ -196,6 +204,11 @@ class TestEngineStore:
 
 class TestSessionService:
     def test_interleaved_sessions_match_reference(self, reference):
+        """Interleaved sessions stream the reference's answers and end
+        with its solutions and stats.  Each outcome's cumulative
+        ``solutions`` are the very objects the earlier outcomes
+        delivered, so a kept stream holds each answer once, not once
+        per later step."""
         with SessionService(PROGRAMS, workers=0) as service:
             session_ids = [service.open(name, query)
                            for name, query in MIX]
@@ -212,6 +225,8 @@ class TestSessionService:
                     else:
                         assert outcome.status == DONE
                         finals[sid] = outcome
+                    assert list(map(id, outcome.solutions)) \
+                        == list(map(id, streams[sid]))
                 open_ids = still
             for sid, expected in zip(session_ids, reference):
                 assert streams[sid] == expected.solutions

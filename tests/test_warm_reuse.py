@@ -16,6 +16,7 @@ from repro.errors import CycleLimitExceeded
 from repro.prolog.writer import term_to_text
 from repro.recovery import FaultInjector, install_default_recovery
 from repro.serve import ImageCache
+from tests.conftest import assert_logs_name_the_valid_lines
 
 #: one cache for the module: compiling each suite program once is the
 #: production configuration (and keeps the test fast).
@@ -67,7 +68,7 @@ def _assert_no_residue(machine):
     assert set(memory.data_cache.dirty) == {False}
     assert set(memory.code_cache.tags) == {None}
     for cache in (memory.data_cache, memory.code_cache):
-        assert cache.fills == [] and cache.fills_complete
+        assert cache.fills == []
     assert memory.data_cache.stats.accesses == 0
     for zone, region in memory.zones._layout.items():
         entry = memory.zones.entries[zone]
@@ -90,8 +91,8 @@ def _seed_run(machine, image, bench):
 
 def _run_after_restore(machine, image, bench):
     """Stop the run on its budget, checkpoint, reset, restore and
-    resume: the restore loads dense tag lists, so the reset after it
-    finds the fill logs incomplete."""
+    resume: the restore replays the checkpoint's lines and logs them,
+    so the logs still name exactly the valid lines."""
     budget = machine.max_cycles
     machine.max_cycles = 2_000
     with pytest.raises(CycleLimitExceeded):
@@ -102,7 +103,7 @@ def _run_after_restore(machine, image, bench):
     checkpoint.restore(machine)
     machine.max_cycles = budget
     machine.resume()
-    assert not machine.memory.data_cache.fills_complete
+    assert_logs_name_the_valid_lines(machine.memory)
 
 
 def _run_with_faults(machine, image, bench):
@@ -128,9 +129,9 @@ def _code_write_and_flush(machine, image, bench):
 def test_reset_leaves_no_residue_whoever_filled_the_lines(fill,
                                                           name="nrev1"):
     """The fast-path run above is one source of cache fills; the
-    layered path, a checkpoint restore (which leaves the fill logs
-    incomplete), fault recovery, a code write and a data-cache flush
-    are the others."""
+    layered path, a checkpoint restore (which replays the checkpoint's
+    lines), fault recovery, a code write and a data-cache flush are the
+    others."""
     bench, image, machine = _load(name)
     fill(machine, image, bench)
     machine.reset_for_reuse()
